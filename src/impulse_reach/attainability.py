@@ -193,11 +193,10 @@ def hull_piece(points: Sequence[Sequence[float]]) -> PlanarSet:
     if len(rounded[0]) == 2:
         hull = convex_hull_2d(rounded)
         if len(hull) == 1:
-            return PlanarSet(points=(_round_vec(hull[0]),))
+            return PlanarSet(points=(hull[0],))
         if len(hull) == 2:
-            lo, hi = sorted(hull)
-            return PlanarSet(segments=((_round_vec(lo), _round_vec(hi)),))
-        return PlanarSet(polygons=(tuple(_round_vec(p) for p in hull),))
+            return PlanarSet(segments=(tuple(sorted(hull)),))
+        return PlanarSet(polygons=(tuple(hull),))
     # higher dimensions are kept as a point cloud
     return PlanarSet(points=tuple(rounded))
 
@@ -238,55 +237,20 @@ def _point_in_convex_polygon(p: Sequence[float], poly: Sequence[Sequence[float]]
     return True
 
 
-def _arc_polyline(arc: Arc, count: int) -> list[tuple[float, ...]]:
-    lo, hi = float(arc.t_lo), float(arc.t_hi)
-    ts = [lo + (hi - lo) * k / (count - 1) for k in range(count)]
-    return [tuple(float(c) for c in arc.at(t)) for t in ts]
+def _corners(ps: PlanarSet) -> list[tuple[float, ...]]:
+    """The points, segment ends and polygon vertices of a set without arcs."""
+    if ps.arcs:
+        raise DomainError("set distances have no exact form on arcs")
+    pieces = [(p,) for p in ps.points] + list(ps.segments) + list(ps.polygons)
+    return [tuple(float(c) for c in p) for piece in pieces for p in piece]
 
 
-def _sup_length(path: Sequence[Sequence[float]]) -> float:
-    return sum(max(abs(q[i] - p[i]) for i in range(len(p)))
-               for p, q in zip(path, path[1:]))
-
-
-def _sample_segment(a: Sequence[float], b: Sequence[float],
-                    density: int) -> list[tuple[float, ...]]:
-    length = max(abs(float(bi) - float(ai)) for ai, bi in zip(a, b))
-    count = max(2, int(math.ceil(length * density)) + 1)
-    out = []
-    for k in range(count):
-        s = k / (count - 1)
-        out.append(tuple(float(ai) + s * (float(bi) - float(ai))
-                         for ai, bi in zip(a, b)))
-    return out
-
-
-def sample_set(ps: PlanarSet, density: int) -> list[tuple[float, ...]]:
-    samples: list[tuple[float, ...]] = []
-    samples.extend(tuple(float(c) for c in p) for p in ps.points)
-    for a, b in ps.segments:
-        samples.extend(_sample_segment(a, b, density))
-    for arc in ps.arcs:
-        coarse = _arc_polyline(arc, 33)
-        count = max(2, int(math.ceil(_sup_length(coarse) * density)) + 1)
-        samples.extend(_arc_polyline(arc, count))
-    for poly in ps.polygons:
-        for a, b in zip(poly, list(poly[1:]) + [poly[0]]):
-            samples.extend(_sample_segment(a, b, density))
-    return samples
-
-
-def _distance_to_set(p: Sequence[float], ps: PlanarSet,
-                     arc_chords: dict[int, list[tuple[float, ...]]]) -> float:
+def _distance_to_set(p: Sequence[float], ps: PlanarSet) -> float:
     best = math.inf
     for q in ps.points:
         best = min(best, max(abs(float(qc) - pc) for qc, pc in zip(q, p)))
     for a, b in ps.segments:
         best = min(best, point_segment_distance(p, a, b))
-    for idx, arc in enumerate(ps.arcs):
-        chord = arc_chords[idx]
-        for a, b in zip(chord, chord[1:]):
-            best = min(best, point_segment_distance(p, a, b))
     for poly in ps.polygons:
         if len(p) == 2 and _point_in_convex_polygon(p, poly):
             return 0.0
@@ -295,47 +259,46 @@ def _distance_to_set(p: Sequence[float], ps: PlanarSet,
     return best
 
 
-def hausdorff_distance(a: PlanarSet, b: PlanarSet, sample_density: int = 256) -> float:
-    """Symmetric Hausdorff distance in the sup-norm, from boundary samples."""
+def _directed(a: PlanarSet, b: PlanarSet) -> float:
+    """sup_{x in a} dist(x, b) in the sup-norm, taken over the corners of a.
+
+    When b is one convex piece, x -> dist(x, b) is convex, so its sup over a
+    segment or polygon of a sits at a corner.  Over a union of pieces that
+    fails, so only a finite point set may be measured against a union, and
+    arcs are rejected on either side.
+    """
     if a.is_empty or b.is_empty:
-        raise EmptySetError("Hausdorff distance needs two nonempty sets")
-
-    def chords(ps: PlanarSet) -> dict[int, list[tuple[float, ...]]]:
-        out = {}
-        for idx, arc in enumerate(ps.arcs):
-            coarse = _arc_polyline(arc, 33)
-            count = max(2, int(math.ceil(_sup_length(coarse) * sample_density)) + 1)
-            out[idx] = _arc_polyline(arc, count)
-        return out
-
-    chords_a, chords_b = chords(a), chords(b)
-    d_ab = max(_distance_to_set(p, b, chords_b) for p in sample_set(a, sample_density))
-    d_ba = max(_distance_to_set(p, a, chords_a) for p in sample_set(b, sample_density))
-    return max(d_ab, d_ba)
+        raise EmptySetError("set distances need two nonempty sets")
+    if b.arcs:
+        raise DomainError("set distances have no exact form on arcs")
+    if (a.segments or a.polygons) and len(b.points) + len(b.segments) + len(b.polygons) > 1:
+        raise DomainError("distance from a segment or polygon to a union of "
+                          "pieces has no exact form at the corners")
+    return max(_distance_to_set(p, b) for p in _corners(a))
 
 
-def directed_distance(a: PlanarSet, b: PlanarSet, sample_density: int = 256) -> float:
-    """One-sided distance sup_{x in a} dist(x, b)."""
-    if a.is_empty or b.is_empty:
-        raise EmptySetError("directed distance needs two nonempty sets")
-    chords_b = {}
-    for idx, arc in enumerate(b.arcs):
-        coarse = _arc_polyline(arc, 33)
-        count = max(2, int(math.ceil(_sup_length(coarse) * sample_density)) + 1)
-        chords_b[idx] = _arc_polyline(arc, count)
-    return max(_distance_to_set(p, b, chords_b) for p in sample_set(a, sample_density))
+def hausdorff_distance(a: PlanarSet, b: PlanarSet) -> float:
+    """Exact symmetric Hausdorff distance in the sup-norm (see _directed)."""
+    return max(_directed(a, b), _directed(b, a))
 
 
-def fan_slack(ps: PlanarSet, directions: int, density: int = 64) -> float:
-    """Upper bound on the inner-approximation gap of a direction fan."""
-    pts = sample_set(ps, density)
-    if not pts:
+def directed_distance(a: PlanarSet, b: PlanarSet) -> float:
+    """Exact one-sided distance sup_{x in a} dist(x, b) (see _directed)."""
+    return _directed(a, b)
+
+
+def fan_slack(ps: PlanarSet, directions: int) -> float:
+    """Heuristic tolerance for the inner-approximation gap of a direction fan.
+
+    diam * (1 - cos(pi/directions)), with diam the widest side of the
+    bounding box, is not a bound: the gap can exceed it.  A rigorous bound
+    is (Euclidean diameter / 2) * tan(pi/directions).
+    """
+    corners = _corners(ps)
+    if not corners:
         return 0.0
-    diam = 0.0
-    arr = np.asarray(pts)
-    lo = arr.min(axis=0)
-    hi = arr.max(axis=0)
-    diam = float(np.max(hi - lo))
+    arr = np.asarray(corners)
+    diam = float(np.max(arr.max(axis=0) - arr.min(axis=0)))
     return diam * (1.0 - math.cos(math.pi / directions)) + 1e-9
 
 
@@ -460,9 +423,6 @@ def universal_mp(sys: ImpulseSystem, cons: ConstraintSpec,
     """
     if t_grid_size < 2:
         raise DomainError("t_grid_size must be at least 2")
-    for j in cons.J:
-        if not cons.s[j - 1].is_step:
-            raise PreconditionError("J-indexed constraint kernels must be step")
     samples = _augmented_curve_samples(sys, cons, t_grid_size)
     n = sys.dim
     pi_part = samples[:, :n].T        # n x K
@@ -556,8 +516,7 @@ class CoincidenceReport:
 
 def coincidence_check(sys: ImpulseSystem, cons: ConstraintSpec,
                       schedule: Sequence[tuple[int, Number]],
-                      directions: int = 360, t_grid_size: int = 129,
-                      sample_density: int = 256) -> CoincidenceReport:
+                      directions: int = 360, t_grid_size: int = 129) -> CoincidenceReport:
     """Compare the fully-relaxed and partially-relaxed reach sets along a
     mesh/epsilon schedule against the generalized attraction set."""
     universal = universal_mp(sys, cons, t_grid_size, directions)
@@ -572,10 +531,10 @@ def coincidence_check(sys: ImpulseSystem, cons: ConstraintSpec,
         entries.append(CoincidenceEntry(
             mesh=mesh,
             epsilon=float(epsilon),
-            d_full_partial=hausdorff_distance(full, partial, sample_density),
-            d_full_universal=hausdorff_distance(full, universal, sample_density),
-            d_partial_universal=hausdorff_distance(partial, universal, sample_density),
-            partial_inside_full=directed_distance(partial, full, sample_density) <= slack,
+            d_full_partial=hausdorff_distance(full, partial),
+            d_full_universal=hausdorff_distance(full, universal),
+            d_partial_universal=hausdorff_distance(partial, universal),
+            partial_inside_full=directed_distance(partial, full) <= slack,
             slack=slack,
         ))
     gaps = [max(e.d_full_universal, e.d_partial_universal) for e in entries]

@@ -261,10 +261,6 @@ def step_function(domain: Interval, cell_values: Sequence[tuple[Cell, Number]],
     return PiecewiseFn(tuple(bps), pieces, values)
 
 
-def side_limit(f: PiecewiseFn, t: Number | str, side: str):
-    return f.side_limit(t, side)
-
-
 def fn_equal(f: PiecewiseFn, g: PiecewiseFn, tol: float = 0.0) -> bool:
     """Pointwise equality (exact by default) after breakpoint refinement."""
     rf, rg = _common(f, g)

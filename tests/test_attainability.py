@@ -20,7 +20,7 @@ from impulse_reach.attainability import (
     universal_mp,
 )
 from impulse_reach.dynamics import ConstraintSpec, build_double_integrator
-from impulse_reach.errors import EmptySetError, PreconditionError
+from impulse_reach.errors import DomainError, EmptySetError, PreconditionError
 from impulse_reach.intervals import Interval
 from impulse_reach.piecewise import LEFT, RIGHT, PiecewiseFn
 
@@ -90,6 +90,53 @@ def test_hausdorff_segment_to_point_sup_norm():
 def test_hausdorff_empty_rejected():
     with pytest.raises(EmptySetError):
         hausdorff_distance(PlanarSet.empty(), PlanarSet(points=((0.0, 0.0),)))
+
+
+def square(lo, hi):
+    return PlanarSet(polygons=(((lo, lo), (hi, lo), (hi, hi), (lo, hi)),))
+
+
+def test_hausdorff_nested_squares_exact():
+    # the far corner (2, 2) is at sup-distance 1 from the unit square
+    assert hausdorff_distance(square(0.0, 1.0), square(0.0, 2.0)) == 1.0
+    assert directed_distance(square(0.0, 1.0), square(0.0, 2.0)) == 0.0
+
+
+def test_directed_triangle_to_segment_exact():
+    tri = PlanarSet(polygons=(((0.0, 0.0), (4.0, 0.0), (1.0, 3.0)),))
+    seg = PlanarSet(segments=(((0.0, 0.0), (2.0, 0.0)),))
+    # corners: (0,0) -> 0, (4,0) -> 2, (1,3) -> 3 (straight down to (1,0))
+    assert directed_distance(tri, seg) == 3.0
+    # seg lies in the triangle
+    assert directed_distance(seg, tri) == 0.0
+    assert hausdorff_distance(tri, seg) == 3.0
+
+
+def test_distance_rejects_arcs():
+    arc = Arc(F(0), F(1), ((0, 1), (1,)))  # (t, 1) for t in (0, 1)
+    pt = PlanarSet(points=((0.0, 0.0),))
+    with pytest.raises(DomainError):
+        hausdorff_distance(PlanarSet(arcs=(arc,)), pt)
+    with pytest.raises(DomainError):
+        directed_distance(pt, PlanarSet(arcs=(arc,)))
+    with pytest.raises(DomainError):
+        fan_slack(PlanarSet(arcs=(arc,)), 90)
+
+
+def test_distance_rejects_segment_against_union():
+    seg = PlanarSet(segments=(((0.0, 0.0), (1.0, 0.0)),))
+    two = PlanarSet(points=((0.0, 0.0),), segments=(((1.0, 0.0), (2.0, 0.0)),))
+    with pytest.raises(DomainError):
+        directed_distance(seg, two)
+    with pytest.raises(DomainError):
+        hausdorff_distance(two, seg)
+
+
+def test_points_against_union_exact_min_max():
+    pts = PlanarSet(points=((0.0, 3.0), (5.0, 0.5)))
+    two = PlanarSet(points=((0.0, 0.0),), segments=(((4.0, 0.0), (6.0, 0.0)),))
+    # (0, 3): min(3, 4) = 3; (5, 0.5): min(5, 0.5) = 0.5
+    assert directed_distance(pts, two) == 3.0
 
 
 # -- relaxed_reach --------------------------------------------------------------
@@ -316,7 +363,7 @@ def test_reach_zigzag_polygon_converges_to_universal():
         ps = relaxed_reach(sys, cons, ReachConfig.full(mesh, 0.01, 90))
         assert len(ps.polygons) == 1
         assert_convex_ccw(ps.polygons[0])
-        d = hausdorff_distance(ps, mp, 128)
+        d = hausdorff_distance(ps, mp)
         assert d <= 1.0 / mesh + fan_slack(mp, 90)
         assert d <= prev + 1e-12
         prev = d
@@ -365,7 +412,7 @@ def test_universal_matches_relaxation_limit_on_box_target():
     prev = math.inf
     for mesh, eps in [(32, 0.05), (128, 0.01), (512, 0.002)]:
         ps = relaxed_reach(sys, cons, ReachConfig.full(mesh, eps, 180))
-        d = hausdorff_distance(ps, mp, 128)
+        d = hausdorff_distance(ps, mp)
         assert d <= 3 * eps
         assert d <= prev + 1e-12
         prev = d
@@ -374,7 +421,7 @@ def test_universal_matches_relaxation_limit_on_box_target():
 def test_coincidence_report_converges():
     sys, cons = velocity_constrained_sys()
     report = coincidence_check(sys, cons, [(64, 0.05), (128, 0.01)],
-                               directions=90, t_grid_size=65, sample_density=64)
+                               directions=90, t_grid_size=65)
     assert report.entries[0].partial_inside_full
     assert report.entries[1].partial_inside_full
     assert report.distances_decrease

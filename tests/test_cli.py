@@ -184,6 +184,18 @@ def test_render_svg_zigzag_figure(tmp_path):
     assert text.count("<circle") == 2
 
 
+def test_check_schedule_with_two_target_boxes_exits_2(tmp_path):
+    # two feasible boxes make each reach set a union of two segments, whose
+    # distances have no exact corner form
+    path = write_scenario(
+        tmp_path, c=CONST_C,
+        constraints={"builders": [{"kind": "velocity", "t": "1/2"}],
+                     "Y": [[["0", "1/4"]], [["3/4", "1"]]]},
+        task={"mesh": 8, "epsilon": "1/100", "directions": 16, "t_grid": 17,
+              "schedule": [[8, 0.05]]})
+    assert main(["check", "--scenario", str(path)]) == 2
+
+
 def test_infeasible_reach_reports_feasible_false(tmp_path):
     path = write_scenario(
         tmp_path, c=CONST_C,
