@@ -1,15 +1,18 @@
 """Reachable sets, attraction sets and set-distance utilities.
 
-relaxed_reach computes the terminal-moment image of the step controls on a
-uniform mesh under a relaxed target box, as the convex hull of the optimal
-points of support-function LPs over a fan of directions (an inner
-approximation that tightens with the fan).  universal_mp computes the
-limiting attraction set directly over generalized controls: the mass-b
-measure cone is the closed convex hull of the scaled one-sided Diracs, so
-the joint moment image is the hull of the two-sided kernel-limit curve,
-sliced by the target in the constraint coordinates.  short_impulse_mp is
-the exact union of one-sided-limit segments for the vanishing-support
-constraint family.
+Both approximate sets are hulls of generator rows sliced by target boxes.
+relaxed_reach takes the step controls on a uniform mesh: their joint
+(terminal, constraint) moments form the convex hull of b times the cell
+averages of the kernels, one row per cell, sliced by the relaxed target.
+universal_mp takes the generalized controls: the mass-b measure cone is the
+closed convex hull of the scaled one-sided Diracs, so its rows are b times
+the one-sided kernel limits on a time grid, sliced by the exact target.
+One support-function engine projects either hull to the terminal plane:
+per box, the optimal points of LPs over a fan of directions span an inner
+approximation that tightens with the fan.  short_impulse_mp is the exact
+union of one-sided-limit segments for the vanishing-support constraint
+family.  Every set is planar: systems with other than two terminal kernels
+are rejected.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .dynamics import ConstraintSpec, ImpulseSystem
 from .errors import DomainError, EmptySetError, NumericError, PreconditionError
 from .intervals import eta, uniform_partition
 from .piecewise import LEFT, RIGHT, integrate_eta
-from .rational import FLOAT_DIGITS, Number, fmt_rat, num_from_json, num_to_json, rat
+from .rational import Number, fmt_rat, num_from_json, num_to_json, rat
 from .simplex import INFEASIBLE, OPTIMAL, solve_lp
 
 Vec = tuple[Number, ...]
@@ -123,7 +126,6 @@ class ReachConfig:
     epsilon: Number
     directions: int = 360
     partial_j: Optional[frozenset[int]] = None  # None = relax every coordinate
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.mesh < 1:
@@ -144,15 +146,6 @@ class ReachConfig:
 
 
 # -- geometry helpers ----------------------------------------------------------
-
-
-def direction_fan(n: int, count: int, seed: int = 0) -> np.ndarray:
-    if n == 2:
-        angles = 2.0 * math.pi * np.arange(count) / count
-        return np.column_stack([np.cos(angles), np.sin(angles)])
-    rng = np.random.default_rng(seed)
-    dirs = rng.normal(size=(count, n))
-    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
 def convex_hull_2d(points: Sequence[Sequence[float]]) -> list[tuple[float, float]]:
@@ -179,26 +172,14 @@ def convex_hull_2d(points: Sequence[Sequence[float]]) -> list[tuple[float, float
     return lower[:-1] + upper[:-1]
 
 
-def _round_vec(p: Sequence[float]) -> Vec:
-    return tuple(float(format(float(c), f".{FLOAT_DIGITS}g")) for c in p)
-
-
 def hull_piece(points: Sequence[Sequence[float]]) -> PlanarSet:
-    """Canonical PlanarSet piece for a finite point cloud: its convex hull."""
-    rounded = sorted({_round_vec(p) for p in points})
-    if not rounded:
-        return PlanarSet.empty()
-    if len(rounded) == 1:
-        return PlanarSet(points=(rounded[0],))
-    if len(rounded[0]) == 2:
-        hull = convex_hull_2d(rounded)
-        if len(hull) == 1:
-            return PlanarSet(points=(hull[0],))
-        if len(hull) == 2:
-            return PlanarSet(segments=(tuple(sorted(hull)),))
+    """Canonical PlanarSet piece for a finite planar point cloud: its convex hull."""
+    hull = convex_hull_2d({tuple(num_to_json(float(c)) for c in p) for p in points})
+    if len(hull) >= 3:
         return PlanarSet(polygons=(tuple(hull),))
-    # higher dimensions are kept as a point cloud
-    return PlanarSet(points=tuple(rounded))
+    if len(hull) == 2:
+        return PlanarSet(segments=(tuple(hull),))
+    return PlanarSet(points=tuple(hull))
 
 
 def point_segment_distance(p: Sequence[float], a: Sequence[float],
@@ -252,7 +233,7 @@ def _distance_to_set(p: Sequence[float], ps: PlanarSet) -> float:
     for a, b in ps.segments:
         best = min(best, point_segment_distance(p, a, b))
     for poly in ps.polygons:
-        if len(p) == 2 and _point_in_convex_polygon(p, poly):
+        if _point_in_convex_polygon(p, poly):
             return 0.0
         for a, b in zip(poly, list(poly[1:]) + [poly[0]]):
             best = min(best, point_segment_distance(p, a, b))
@@ -305,12 +286,12 @@ def fan_slack(ps: PlanarSet, directions: int) -> float:
 # -- reachable sets -------------------------------------------------------------
 
 
-def _mesh_columns(sys: ImpulseSystem, cons: ConstraintSpec, mesh: int):
-    cells = uniform_partition(sys.domain, mesh).cells
-    etas = np.array([float(eta(c)) for c in cells])
-    P = np.array([[float(integrate_eta(k, c)) for c in cells] for k in sys.pi])
-    S = np.array([[float(integrate_eta(k, c)) for c in cells] for k in cons.s])
-    return etas, P, S
+def _check_input(sys: ImpulseSystem, cons: Optional[ConstraintSpec] = None) -> None:
+    """Reject the inputs no set function can represent."""
+    if sys.dim != 2:
+        raise DomainError(f"sets are planar; the system has {sys.dim} terminal kernels")
+    if cons is not None and any(k.domain != sys.domain for k in cons.s):
+        raise DomainError("constraint kernel domain mismatch")
 
 
 def relax_box(box: Sequence[tuple[Optional[Number], Optional[Number]]],
@@ -326,52 +307,73 @@ def relax_box(box: Sequence[tuple[Optional[Number], Optional[Number]]],
     return out
 
 
-def _support_points(objective_rows: np.ndarray, mass_row: np.ndarray, mass: float,
-                    coord_rows: np.ndarray,
-                    bounds: Sequence[tuple[Optional[float], Optional[float]]],
-                    directions: np.ndarray) -> Optional[list[tuple[float, ...]]]:
-    """Argmax images of support LPs over the fan; None when infeasible.
+def _project(gens: np.ndarray,
+             boxes: Sequence[Sequence[tuple[Optional[Number], Optional[Number]]]],
+             directions: int) -> PlanarSet:
+    """Terminal-plane image of the hull of the generator rows, sliced by each box.
 
-    Feasible set: x >= 0, mass_row.x = mass, bounds on coord_rows.x.
-    Images are objective_rows.x.
+    gens holds one row per generator: the two terminal coordinates, then the
+    constraint coordinates.  For each box the weights x >= 0 with sum x = 1
+    are bounded by the box on gens' constraint part, and the optimal points
+    of the support LPs over a fan of directions span that box's piece.  An
+    infeasible box contributes nothing.
     """
-    eq_rows = [mass_row]
-    eq_rhs = [mass]
-    ub_rows: list[np.ndarray] = []
-    ub_rhs: list[float] = []
-    for row, (lo, hi) in zip(coord_rows, bounds):
-        if lo is not None and hi is not None and lo == hi:
-            eq_rows.append(row)
-            eq_rhs.append(lo)
-            continue
-        if hi is not None:
-            ub_rows.append(row)
-            ub_rhs.append(hi)
-        if lo is not None:
-            ub_rows.append(-row)
-            ub_rhs.append(-lo)
-    A_eq = np.vstack(eq_rows)
-    A_ub = np.vstack(ub_rows) if ub_rows else None
-    b_ub = ub_rhs if ub_rows else None
+    angles = 2.0 * math.pi * np.arange(directions) / directions
+    fan = np.column_stack([np.cos(angles), np.sin(angles)])
+    terminal = gens[:, :2].T
+    result = PlanarSet.empty()
+    for box in boxes:
+        eq_rows, eq_rhs = [np.ones(gens.shape[0])], [1.0]
+        ub_rows: list[np.ndarray] = []
+        ub_rhs: list[float] = []
+        for row, (lo, hi) in zip(gens[:, 2:].T, box):
+            lo = None if lo is None else float(lo)
+            hi = None if hi is None else float(hi)
+            if lo is not None and lo == hi:
+                eq_rows.append(row)
+                eq_rhs.append(lo)
+                continue
+            if hi is not None:
+                ub_rows.append(row)
+                ub_rhs.append(hi)
+            if lo is not None:
+                ub_rows.append(-row)
+                ub_rhs.append(-lo)
+        A_eq = np.vstack(eq_rows)
+        A_ub = np.vstack(ub_rows) if ub_rows else None
+        points = []
+        for d in fan:
+            res = solve_lp(-(d @ terminal), A_eq=A_eq, b_eq=eq_rhs,
+                           A_ub=A_ub, b_ub=ub_rhs)
+            if res.status == INFEASIBLE:
+                break
+            if res.status != OPTIMAL:
+                raise NumericError(f"support LP ended with status {res.status}")
+            points.append(terminal @ res.x)
+        else:
+            result = result.merge(hull_piece(points))
+    return result
 
-    points: list[tuple[float, ...]] = []
-    for d in directions:
-        cost = -(d @ objective_rows)
-        res = solve_lp(cost, A_eq=A_eq, b_eq=eq_rhs, A_ub=A_ub, b_ub=b_ub)
-        if res.status == INFEASIBLE:
-            return None
-        if res.status != OPTIMAL:
-            raise NumericError(f"support LP ended with status {res.status}")
-        points.append(tuple(float(v) for v in objective_rows @ res.x))
-    return points
+
+def _mesh_generators(sys: ImpulseSystem, cons: ConstraintSpec, mesh: int) -> np.ndarray:
+    """One row per mesh cell: b times the cell averages of the pi and s kernels.
+
+    A step control with mass m_j on cell j has the moments sum_j (m_j / b) row_j,
+    and the weights m_j / b are nonnegative and sum to 1.
+    """
+    b = float(sys.b)
+    kernels = sys.pi + cons.s
+    rows = []
+    for cell in uniform_partition(sys.domain, mesh).cells:
+        length = float(eta(cell))
+        rows.append([b * float(integrate_eta(k, cell)) / length for k in kernels])
+    return np.asarray(rows)
 
 
 def relaxed_reach(sys: ImpulseSystem, cons: ConstraintSpec,
                   cfg: ReachConfig) -> PlanarSet:
     """Terminal-moment image of mesh step controls under the relaxed target."""
-    for kernel in cons.s:
-        if kernel.domain != sys.domain:
-            raise DomainError("constraint kernel domain mismatch")
+    _check_input(sys, cons)
     if cfg.partial_j is not None:
         for j in cfg.partial_j:
             if not 1 <= j <= cons.n_constraints:
@@ -379,20 +381,13 @@ def relaxed_reach(sys: ImpulseSystem, cons: ConstraintSpec,
             if not cons.s[j - 1].is_step:
                 raise PreconditionError(
                     "exact (Partial) coordinates need step constraint kernels")
-    etas, P, S = _mesh_columns(sys, cons, cfg.mesh)
-    directions = direction_fan(sys.dim, cfg.directions, cfg.seed)
-    result = PlanarSet.empty()
-    for box in cons.boxes:
-        bounds = relax_box(box, cfg.epsilon, cfg.partial_j)
-        pts = _support_points(P, etas, float(sys.b), S, bounds, directions)
-        if pts is None:
-            continue
-        result = result.merge(hull_piece(pts))
-    return result
+    boxes = [relax_box(box, cfg.epsilon, cfg.partial_j) for box in cons.boxes]
+    return _project(_mesh_generators(sys, cons, cfg.mesh), boxes, cfg.directions)
 
 
 def _augmented_curve_samples(sys: ImpulseSystem, cons: ConstraintSpec,
                              t_grid_size: int) -> np.ndarray:
+    """One row per sampled one-sided limit: b times the pi and s kernel limits."""
     kernels = list(sys.pi) + list(cons.s)
     times = {sys.t0 + Fraction(k, max(1, t_grid_size - 1)) * (sys.theta0 - sys.t0)
              for k in range(t_grid_size)}
@@ -412,8 +407,7 @@ def _augmented_curve_samples(sys: ImpulseSystem, cons: ConstraintSpec,
 
 
 def universal_mp(sys: ImpulseSystem, cons: ConstraintSpec,
-                 t_grid_size: int = 129, directions: int = 360,
-                 seed: int = 0) -> PlanarSet:
+                 t_grid_size: int = 129, directions: int = 360) -> PlanarSet:
     """Attraction set over generalized controls with the exact target.
 
     The joint (terminal, constraint) moment image of the mass-b measure cone
@@ -421,23 +415,11 @@ def universal_mp(sys: ImpulseSystem, cons: ConstraintSpec,
     target box slices the hull in the constraint coordinates and the result
     is projected to the terminal coordinates by support LPs.
     """
+    _check_input(sys, cons)
     if t_grid_size < 2:
         raise DomainError("t_grid_size must be at least 2")
-    samples = _augmented_curve_samples(sys, cons, t_grid_size)
-    n = sys.dim
-    pi_part = samples[:, :n].T        # n x K
-    s_part = samples[:, n:].T         # N x K
-    ones = np.ones(samples.shape[0])
-    fan = direction_fan(n, directions, seed)
-    result = PlanarSet.empty()
-    for box in cons.boxes:
-        bounds = [(None if lo is None else float(lo),
-                   None if hi is None else float(hi)) for lo, hi in box]
-        pts = _support_points(pi_part, ones, 1.0, s_part, bounds, fan)
-        if pts is None:
-            continue
-        result = result.merge(hull_piece(pts))
-    return result
+    return _project(_augmented_curve_samples(sys, cons, t_grid_size), cons.boxes,
+                    directions)
 
 
 def short_impulse_mp(sys: ImpulseSystem) -> PlanarSet:
@@ -448,26 +430,26 @@ def short_impulse_mp(sys: ImpulseSystem) -> PlanarSet:
     on every open gap between kernel breakpoints the set is the arc traced
     by b * pi(t).
     """
+    _check_input(sys)
     cuts = sorted(set().union(*[set(k.breakpoints) for k in sys.pi]))
     refined = [k.refine(cuts) for k in sys.pi]
-    b = sys.b if isinstance(sys.b, (int, Fraction)) else float(sys.b)
 
     arcs = []
     for i, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-        arcs.append(Arc(lo, hi, tuple(tuple(b * c for c in k.pieces[i])
+        arcs.append(Arc(lo, hi, tuple(tuple(sys.b * c for c in k.pieces[i])
                                       for k in refined)))
 
     points: list[Vec] = []
     segments: list[tuple[Vec, Vec]] = []
     for t in cuts[1:-1]:
-        up = tuple(b * k.side_limit(t, LEFT) for k in refined)
-        down = tuple(b * k.side_limit(t, RIGHT) for k in refined)
+        up = tuple(sys.b * k.side_limit(t, LEFT) for k in refined)
+        down = tuple(sys.b * k.side_limit(t, RIGHT) for k in refined)
         if up == down:
             points.append(up)
         else:
             segments.append((up, down))
-    points.append(tuple(b * k.side_limit(sys.t0, RIGHT) for k in refined))
-    points.append(tuple(b * k.side_limit(sys.theta0, LEFT) for k in refined))
+    points.append(tuple(sys.b * k.side_limit(sys.t0, RIGHT) for k in refined))
+    points.append(tuple(sys.b * k.side_limit(sys.theta0, LEFT) for k in refined))
 
     return PlanarSet(points=tuple(points), segments=tuple(segments),
                      arcs=tuple(arcs))

@@ -253,47 +253,32 @@ def render_svg(planar: PlanarSet, out_path: str | Path, width: int = 640,
 # -- commands --------------------------------------------------------------------------
 
 
-def _reach_config(task: dict, partial: bool, cons: ConstraintSpec) -> ReachConfig:
-    J = frozenset(cons.J) if partial else None
-    return ReachConfig(int(task["mesh"]), num_from_json(task["epsilon"]),
-                       int(task["directions"]), J, int(task.get("seed", 0)))
-
-
 def run_scenario(path: str | Path, command: str, out: Optional[str] = None,
                  svg: Optional[str] = None, measure: Optional[str] = None,
                  overrides: Optional[dict] = None) -> int:
     system, cons, task = load_scenario(path)
     task.update({k: v for k, v in (overrides or {}).items() if v is not None})
 
-    if command == "reach":
-        cfg = _reach_config(task, task.get("relaxation") == "partial", cons)
-        result = relaxed_reach(system, cons, cfg)
-        payload = {"command": "reach", "mesh": cfg.mesh,
-                   "epsilon": _fmt_num(cfg.epsilon),
-                   "directions": cfg.directions,
-                   "relaxation": task.get("relaxation", "full"),
-                   "feasible": not result.is_empty,
-                   "set": result.to_json()}
-        _emit(dump_json(payload), out)
-        if svg:
-            render_svg(result, svg)
-        return 0
-
-    if command == "mp":
-        result = universal_mp(system, cons, int(task["t_grid"]),
-                              int(task["directions"]), int(task.get("seed", 0)))
-        payload = {"command": "mp", "t_grid": int(task["t_grid"]),
-                   "directions": int(task["directions"]),
-                   "feasible": not result.is_empty,
-                   "set": result.to_json()}
-        _emit(dump_json(payload), out)
-        if svg:
-            render_svg(result, svg)
-        return 0
-
-    if command == "short-impulse":
-        result = short_impulse_mp(system)
-        payload = {"command": "short-impulse", "set": result.to_json()}
+    if command in ("reach", "mp", "short-impulse"):
+        if command == "reach":
+            J = frozenset(cons.J) if task.get("relaxation") == "partial" else None
+            cfg = ReachConfig(int(task["mesh"]), num_from_json(task["epsilon"]),
+                              int(task["directions"]), J)
+            result = relaxed_reach(system, cons, cfg)
+            payload = {"mesh": cfg.mesh, "epsilon": _fmt_num(cfg.epsilon),
+                       "directions": cfg.directions,
+                       "relaxation": task.get("relaxation", "full"),
+                       "feasible": not result.is_empty}
+        elif command == "mp":
+            result = universal_mp(system, cons, int(task["t_grid"]),
+                                  int(task["directions"]))
+            payload = {"t_grid": int(task["t_grid"]),
+                       "directions": int(task["directions"]),
+                       "feasible": not result.is_empty}
+        else:
+            result = short_impulse_mp(system)
+            payload = {}
+        payload.update(command=command, set=result.to_json())
         _emit(dump_json(payload), out)
         if svg:
             render_svg(result, svg)
@@ -360,7 +345,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--t-grid", dest="t_grid", type=int)
     parser.add_argument("--measure", help="measure JSON file (traj)")
     parser.add_argument("--samples", type=int, help="trajectory sample count")
-    parser.add_argument("--seed", type=int)
+    parser.add_argument("--seed", type=int, help="random seed of the check battery")
     args = parser.parse_args(argv)
 
     overrides = {

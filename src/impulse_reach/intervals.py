@@ -61,16 +61,9 @@ class Interval:
     def length(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def is_singleton(self) -> bool:
-        return self.lo == self.hi
-
     def contains(self, t: Number | str) -> bool:
         t = rat(t)
         return self.start_cut <= (t, 0) < self.end_cut
-
-    def is_subset_of(self, other: "Interval") -> bool:
-        return other.start_cut <= self.start_cut and self.end_cut <= other.end_cut
 
     def __str__(self) -> str:
         left = "[" if self.lo_closed else "("
@@ -137,6 +130,11 @@ class Cell:
         t = rat(t)
         return any(p.start_cut <= (t, 0) < p.end_cut for p in self.parts)
 
+    def within(self, domain: Interval) -> bool:
+        """True iff the cell is a subset of the interval (parts are sorted)."""
+        return self.is_empty or (domain.start_cut <= self.parts[0].start_cut
+                                 and self.parts[-1].end_cut <= domain.end_cut)
+
     def endpoints(self) -> list[Fraction]:
         out: list[Fraction] = []
         for p in self.parts:
@@ -178,8 +176,7 @@ def cell_union(a: Cell, b: Cell) -> Cell:
 
 def cell_complement(a: Cell, domain: Interval) -> Cell:
     """domain \\ a; raises DomainError unless a is contained in the domain."""
-    dom_cell = Cell((domain,))
-    if cell_intersect(a, dom_cell) != a:
+    if not a.within(domain):
         raise DomainError(f"cell {a} is not contained in domain {domain}")
     out: list[tuple[Cut, Cut]] = []
     cursor = domain.start_cut
@@ -223,13 +220,6 @@ class Partition:
 
     def __len__(self) -> int:
         return len(self.cells)
-
-    def locate(self, t: Number | str) -> Cell:
-        t = rat(t)
-        for cell in self.cells:
-            if cell.contains(t):
-                return cell
-        raise DomainError(f"{t} outside partition domain")
 
     def to_json(self) -> dict:
         return {"domain": self.domain.to_json(),

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import CapacityError, DomainError
 from .intervals import Cell, Interval, eta, Partition
@@ -182,10 +182,7 @@ def integral(u: PiecewiseFn, mu: FAMeasure) -> Number:
     """Integral of a piecewise function against the measure."""
     if u.domain != mu.domain:
         raise DomainError("function and measure domains differ")
-    total = integrate_eta(multiply(u, mu.density), Cell((mu.domain,)))
-    for atom in mu.atoms:
-        total += atom.mass * u.side_limit(atom.loc, atom.side.limit_side)
-    return total
+    return integral_over(u, mu, Cell((mu.domain,)))
 
 
 def integral_over(u: PiecewiseFn, mu: FAMeasure, a: Cell) -> Number:

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BoundaryError, CapacityError, DomainError
-from .intervals import Cell, Interval, cell_intersect
+from .intervals import Cell, Interval
 from .rational import Number, fmt_rat, is_exact, num_from_json, num_to_json, rat
 
 MAX_DEGREE = 4
@@ -131,10 +131,6 @@ class PiecewiseFn:
 
     # -- evaluation -----------------------------------------------------------
 
-    def _piece_index(self, t: Fraction) -> int:
-        """Index of the piece whose open gap contains t (t not a breakpoint)."""
-        return bisect_right(self.breakpoints, t) - 1
-
     def eval(self, t: Number | str):
         t = rat(t)
         if not (self.breakpoints[0] <= t <= self.breakpoints[-1]):
@@ -172,13 +168,7 @@ class PiecewiseFn:
         if new[0] != self.breakpoints[0] or new[-1] != self.breakpoints[-1]:
             raise DomainError("refinement points must lie inside the domain")
         pieces: list[Coeffs] = []
-        values: list[Number] = []
-        for t in new:
-            i = bisect_left(self.breakpoints, t)
-            if i < len(self.breakpoints) and self.breakpoints[i] == t:
-                values.append(self.point_values[i])
-            else:
-                values.append(poly_eval(self.pieces[i - 1], t))
+        values = [self.eval(t) for t in new]
         for a in new[:-1]:
             i = bisect_right(self.breakpoints, a) - 1
             pieces.append(self.pieces[min(i, len(self.pieces) - 1)])
@@ -233,8 +223,7 @@ def scale(alpha: Number, f: PiecewiseFn) -> PiecewiseFn:
 
 
 def indicator(a: Cell, domain: Interval) -> PiecewiseFn:
-    dom_cell = Cell((domain,))
-    if cell_intersect(a, dom_cell) != a:
+    if not a.within(domain):
         raise DomainError("cell must be contained in the domain")
     return step_function(domain, [(a, 1)])
 
@@ -300,8 +289,7 @@ def sup_norm(f: PiecewiseFn) -> Number:
 
 def integrate_eta(f: PiecewiseFn, a: Cell) -> Number:
     """Antiderivative-based integral of f over the cell; point values ignored."""
-    dom_cell = Cell((f.domain,))
-    if cell_intersect(a, dom_cell) != a:
+    if not a.within(f.domain):
         raise DomainError("integration cell must lie in the domain")
     total: Number = 0
     for part in a.parts:

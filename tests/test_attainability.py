@@ -19,7 +19,7 @@ from impulse_reach.attainability import (
     short_impulse_mp,
     universal_mp,
 )
-from impulse_reach.dynamics import ConstraintSpec, build_double_integrator
+from impulse_reach.dynamics import ConstraintSpec, ImpulseSystem, build_double_integrator
 from impulse_reach.errors import DomainError, EmptySetError, PreconditionError
 from impulse_reach.intervals import Interval
 from impulse_reach.piecewise import LEFT, RIGHT, PiecewiseFn
@@ -253,6 +253,27 @@ def test_universal_monotone_in_grid():
     coarse = universal_mp(sys, cons, t_grid_size=17, directions=64)
     fine = universal_mp(sys, cons, t_grid_size=33, directions=64)  # nested grid
     assert directed_distance(coarse, fine) <= fan_slack(fine, 64) + 1e-9
+
+
+def test_universal_rejects_constraint_kernel_on_other_domain():
+    sys, _ = unconstrained_sys()
+    half = PiecewiseFn.constant(Interval.make(0, "1/2"), 1)
+    cons = ConstraintSpec((half,), (((None, None),),), frozenset())
+    with pytest.raises(DomainError, match="constraint kernel domain mismatch"):
+        universal_mp(sys, cons, 17, 16)
+    with pytest.raises(DomainError, match="constraint kernel domain mismatch"):
+        relaxed_reach(sys, cons, ReachConfig.full(8, 0.01, 16))
+
+
+def test_set_functions_reject_non_planar_systems():
+    sys = ImpulseSystem(F(0), F(1), 1, (const_one(),) * 3)
+    cons = ConstraintSpec.unconstrained()
+    with pytest.raises(DomainError, match="planar"):
+        relaxed_reach(sys, cons, ReachConfig.full(8, 0.01, 16))
+    with pytest.raises(DomainError, match="planar"):
+        universal_mp(sys, cons, 17, 16)
+    with pytest.raises(DomainError, match="planar"):
+        short_impulse_mp(sys)
 
 
 # -- short_impulse_mp -------------------------------------------------------------

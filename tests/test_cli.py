@@ -248,6 +248,14 @@ def test_explicit_pi_kernels_general_domain(tmp_path):
                  "--measure", str(measure)]) == 2
 
 
+def test_non_planar_scenario_exits_2(tmp_path):
+    path = write_scenario(tmp_path, pi=[CONST_C] * 3,
+                          task={"mesh": 4, "epsilon": "1/100", "directions": 16,
+                                "t_grid": 9})
+    for command in ("reach", "mp", "short-impulse"):
+        assert main([command, "--scenario", str(path)]) == 2, command
+
+
 def test_builders_require_thrust_orientation(tmp_path):
     pi2 = {"breakpoints": ["0", "1"], "pieces": [[1]], "point_values": [1, 1]}
     path = tmp_path / "nob.json"

@@ -17,7 +17,7 @@ from impulse_reach.intervals import (
     uniform_partition,
 )
 
-from conftest import UNIT, membership_samples, rand_cell, rand_partition
+from conftest import UNIT, membership_samples, rand_cell, rand_interval, rand_partition
 
 
 def cell_of(*specs) -> Cell:
@@ -108,6 +108,18 @@ def test_complement_point_and_tail():
 def test_complement_requires_containment():
     with pytest.raises(DomainError):
         cell_complement(cell_of((0, 2)), UNIT)
+
+
+def test_within_matches_intersection(rng):
+    # reference: a lies in the domain iff intersecting with it changes nothing
+    for _ in range(300):
+        a = rand_cell(rng)
+        dom = rand_interval(rng)
+        assert a.within(dom) == (cell_intersect(a, Cell((dom,))) == a)
+    half_open = Interval.make(0, 1, True, False)
+    assert cell_of((0, "1/2", True, False)).within(half_open)
+    assert not cell_of((0, "1/2"), 1).within(half_open)
+    assert Cell.empty().within(half_open)
 
 
 def test_complement_union_restores_domain(rng):
