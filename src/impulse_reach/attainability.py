@@ -7,6 +7,10 @@ averages of the kernels, one row per cell, sliced by the relaxed target.
 universal_mp takes the generalized controls: the mass-b measure cone is the
 closed convex hull of the scaled one-sided Diracs, so its rows are b times
 the one-sided kernel limits on a time grid, sliced by the exact target.
+The rows are floats of the exact kernels: a cell inside one kernel piece is
+averaged by Gauss-Legendre quadrature in float, a cell that a breakpoint
+splits is integrated exactly and rounded, and each limit is evaluated in
+float on the piece found exactly.
 One support-function engine projects either hull to the terminal plane:
 per box, the optimal points of LPs over a fan of directions span an inner
 approximation that tightens with the fan.  short_impulse_mp is the exact
@@ -18,6 +22,7 @@ are rejected.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -26,8 +31,8 @@ import numpy as np
 
 from .dynamics import ConstraintSpec, ImpulseSystem
 from .errors import DomainError, EmptySetError, NumericError, PreconditionError
-from .intervals import eta, uniform_partition
-from .piecewise import LEFT, RIGHT, integrate_eta
+from .intervals import Cell, Interval
+from .piecewise import LEFT, MAX_DEGREE, RIGHT, PiecewiseFn, integrate_eta
 from .rational import Number, fmt_rat, num_from_json, num_to_json, rat
 from .simplex import INFEASIBLE, OPTIMAL, solve_lp
 
@@ -132,8 +137,6 @@ class ReachConfig:
             raise DomainError("mesh must be >= 1")
         if not self.epsilon > 0:
             raise DomainError("epsilon must be positive")
-        if self.directions < 3:
-            raise DomainError("need at least 3 fan directions")
 
     @staticmethod
     def full(mesh: int, epsilon: Number, directions: int = 360) -> "ReachConfig":
@@ -318,6 +321,8 @@ def _project(gens: np.ndarray,
     of the support LPs over a fan of directions span that box's piece.  An
     infeasible box contributes nothing.
     """
+    if directions < 3:
+        raise DomainError("need at least 3 fan directions")
     angles = 2.0 * math.pi * np.arange(directions) / directions
     fan = np.column_stack([np.cos(angles), np.sin(angles)])
     terminal = gens[:, :2].T
@@ -355,19 +360,72 @@ def _project(gens: np.ndarray,
     return result
 
 
+# The 3-node Gauss-Legendre rule on [-1, 1] integrates every polynomial of
+# degree 5 >= MAX_DEGREE exactly; its middle node is the midpoint.  It is
+# written out because numpy's leggauss imports numpy.polynomial and starts
+# LAPACK, about 1.7 MB of resident memory.
+_GL_NODES = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
+_GL_WEIGHTS = np.array([5 / 9, 8 / 9, 5 / 9])
+
+
+def _coefficient_table(kernel: PiecewiseFn) -> np.ndarray:
+    """The kernel's pieces as float rows, low degree first, zero-padded to MAX_DEGREE."""
+    table = np.zeros((len(kernel.pieces), MAX_DEGREE + 1))
+    for i, coeffs in enumerate(kernel.pieces):
+        table[i, :len(coeffs)] = [float(c) for c in coeffs]
+    return table
+
+
+def _horner(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The polynomials in the last axis of coeffs at t, broadcast elementwise."""
+    acc = coeffs[..., MAX_DEGREE]
+    for d in range(MAX_DEGREE - 1, -1, -1):
+        acc = acc * t + coeffs[..., d]
+    return acc
+
+
 def _mesh_generators(sys: ImpulseSystem, cons: ConstraintSpec, mesh: int) -> np.ndarray:
     """One row per mesh cell: b times the cell averages of the pi and s kernels.
 
     A step control with mass m_j on cell j has the moments sum_j (m_j / b) row_j,
-    and the weights m_j / b are nonnegative and sum to 1.
+    and the weights m_j / b are nonnegative and sum to 1.  A cell inside one
+    piece of a kernel is averaged in float by Gauss-Legendre quadrature, written
+    as the midpoint value plus weighted differences so that a constant piece
+    averages to itself.  A cell that a kernel breakpoint splits is integrated
+    exactly, over the exact value of every float coefficient.
     """
-    b = float(sys.b)
     kernels = sys.pi + cons.s
-    rows = []
-    for cell in uniform_partition(sys.domain, mesh).cells:
-        length = float(eta(cell))
-        rows.append([b * float(integrate_eta(k, cell)) / length for k in kernels])
-    return np.asarray(rows)
+    step = (sys.theta0 - sys.t0) / mesh
+    # the midpoints t0 + (2k + 1) step / 2 as ratios of ints, which divide
+    # to the correctly rounded float
+    a, d = sys.t0.numerator, sys.t0.denominator
+    p, q = step.numerator, step.denominator
+    mids = np.array([(2 * a * q + (2 * k + 1) * p * d) / (2 * d * q) for k in range(mesh)])
+    nodes = mids[:, None] + float(step) / 2 * _GL_NODES
+    b = float(sys.b)
+    length = float(step)
+    rows = np.empty((mesh, len(kernels)))
+    for j, kernel in enumerate(kernels):
+        # cell k lies right of an inner breakpoint at u cells from t0 iff ceil(u) <= k
+        starts = []
+        split = set()
+        for t in kernel.breakpoints[1:-1]:
+            u = (t - sys.t0) / step
+            starts.append(math.ceil(u))
+            if u.denominator != 1:
+                split.add(math.floor(u))
+        pieces = np.searchsorted(starts, np.arange(mesh), side="right")
+        values = _horner(_coefficient_table(kernel)[pieces][:, None, :], nodes)
+        centre = values[:, 1:2]
+        rows[:, j] = b * (centre[:, 0] + ((values - centre) * (_GL_WEIGHTS / 2)).sum(axis=1))
+        if split:
+            exact = PiecewiseFn(kernel.breakpoints,
+                                tuple(tuple(Fraction(c) for c in cs) for cs in kernel.pieces),
+                                kernel.point_values)
+            for k in split:
+                cell = Cell((Interval(sys.t0 + k * step, sys.t0 + (k + 1) * step),))
+                rows[k, j] = b * float(integrate_eta(exact, cell)) / length
+    return rows
 
 
 def relaxed_reach(sys: ImpulseSystem, cons: ConstraintSpec,
@@ -387,23 +445,25 @@ def relaxed_reach(sys: ImpulseSystem, cons: ConstraintSpec,
 
 def _augmented_curve_samples(sys: ImpulseSystem, cons: ConstraintSpec,
                              t_grid_size: int) -> np.ndarray:
-    """One row per sampled one-sided limit: b times the pi and s kernel limits."""
-    kernels = list(sys.pi) + list(cons.s)
-    times = {sys.t0 + Fraction(k, max(1, t_grid_size - 1)) * (sys.theta0 - sys.t0)
+    """One row per sampled one-sided limit: b times the pi and s kernel limits.
+
+    The samples are both limits at every grid time and kernel breakpoint,
+    except those outside the domain; each limit's piece is found exactly.
+    """
+    kernels = sys.pi + cons.s
+    times = {sys.t0 + Fraction(k, t_grid_size - 1) * (sys.theta0 - sys.t0)
              for k in range(t_grid_size)}
     for kernel in kernels:
         times.update(kernel.breakpoints)
-    rows = []
+    samples = [(t, side) for t in sorted(times) for side in (LEFT, RIGHT)][1:-1]
+    at = np.array([float(t) for t, _ in samples])
     b = float(sys.b)
-    for t in sorted(times):
-        sides = []
-        if t > sys.t0:
-            sides.append(LEFT)
-        if t < sys.theta0:
-            sides.append(RIGHT)
-        for side in sides:
-            rows.append([b * float(k.side_limit(t, side)) for k in kernels])
-    return np.asarray(rows)
+    rows = np.empty((len(samples), len(kernels)))
+    for j, kernel in enumerate(kernels):
+        pieces = [(bisect_left(kernel.breakpoints, t) if side == LEFT
+                   else bisect_right(kernel.breakpoints, t)) - 1 for t, side in samples]
+        rows[:, j] = b * _horner(_coefficient_table(kernel)[pieces], at)
+    return rows
 
 
 def universal_mp(sys: ImpulseSystem, cons: ConstraintSpec,

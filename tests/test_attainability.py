@@ -1,13 +1,21 @@
 import itertools
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from impulse_reach.attainability import (
     Arc,
     PlanarSet,
     ReachConfig,
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _augmented_curve_samples,
+    _mesh_generators,
+    _project,
     coincidence_check,
     convex_hull_2d,
     directed_distance,
@@ -15,17 +23,21 @@ from impulse_reach.attainability import (
     hausdorff_distance,
     hull_piece,
     point_segment_distance,
+    relax_box,
     relaxed_reach,
     short_impulse_mp,
     universal_mp,
 )
+from impulse_reach.cli import load_scenario
 from impulse_reach.dynamics import ConstraintSpec, ImpulseSystem, build_double_integrator
 from impulse_reach.errors import DomainError, EmptySetError, PreconditionError
-from impulse_reach.intervals import Interval
-from impulse_reach.piecewise import LEFT, RIGHT, PiecewiseFn
+from impulse_reach.intervals import Interval, eta, uniform_partition
+from impulse_reach.piecewise import LEFT, MAX_DEGREE, RIGHT, PiecewiseFn, integrate_eta
+from impulse_reach.rational import num_from_json
 
 F = Fraction
 UNIT = Interval.make(0, 1)
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def const_one() -> PiecewiseFn:
@@ -447,3 +459,128 @@ def test_coincidence_report_converges():
     assert report.entries[1].partial_inside_full
     assert report.distances_decrease
     assert report.final_d_to_universal <= 0.02
+
+
+# -- generator rows ------------------------------------------------------------
+
+
+def reference_mesh_rows(sys, cons, mesh):
+    """The per-cell loop the vectorized rows replaced: exact integral, then float."""
+    b = float(sys.b)
+    rows = []
+    for cell in uniform_partition(sys.domain, mesh).cells:
+        length = float(eta(cell))
+        rows.append([b * float(integrate_eta(k, cell)) / length for k in sys.pi + cons.s])
+    return np.asarray(rows)
+
+
+def reference_curve_rows(sys, cons, t_grid_size):
+    """The per-sample loop the vectorized rows replaced: exact limits, then float."""
+    kernels = sys.pi + cons.s
+    times = {sys.t0 + F(k, t_grid_size - 1) * (sys.theta0 - sys.t0)
+             for k in range(t_grid_size)}
+    for kernel in kernels:
+        times.update(kernel.breakpoints)
+    b = float(sys.b)
+    rows = []
+    for t in sorted(times):
+        sides = ([LEFT] if t > sys.t0 else []) + ([RIGHT] if t < sys.theta0 else [])
+        for side in sides:
+            rows.append([b * float(k.side_limit(t, side)) for k in kernels])
+    return np.asarray(rows)
+
+
+def random_kernel(rng, domain, mesh, exact):
+    """Pieces of degree 0-4, cut on grid points, strictly inside a cell, or
+    twice inside one cell of the uniform mesh; rational or float coefficients."""
+    step = (domain.hi - domain.lo) / mesh
+    cuts = {domain.lo, domain.hi}
+    for kind in rng.sample(("grid", "inside", "twice inside"), rng.randint(0, 3)):
+        k = rng.randrange(mesh)
+        if kind == "grid":
+            cuts.add(domain.lo + k * step)
+        elif kind == "inside":
+            cuts.add(domain.lo + (k + F(rng.randint(1, 9), 10)) * step)
+        else:
+            cuts.update(domain.lo + (k + f) * step for f in (F(1, 3), F(3, 4)))
+    bps = sorted(cuts)
+    pieces = [[F(rng.randint(-30, 30), rng.choice((3, 7, 10))) if exact
+               else rng.uniform(-3.0, 3.0) for _ in range(rng.randint(1, 5))]
+              for _ in bps[1:]]
+    return PiecewiseFn.build(bps, pieces)
+
+
+def random_rows_problem(rng, domain, mesh, exact):
+    """Two terminal and one constraint kernel, and the same system with every
+    float coefficient replaced by its exact value."""
+    kernels = [random_kernel(rng, domain, mesh, exact) for _ in range(3)]
+    exact_kernels = [PiecewiseFn(k.breakpoints,
+                                 tuple(tuple(F(c) for c in cs) for cs in k.pieces),
+                                 k.point_values) for k in kernels]
+    b = F(3, 2)
+    cons = ConstraintSpec(tuple(kernels[2:]), (((None, None),),))
+    exact_cons = ConstraintSpec(tuple(exact_kernels[2:]), (((None, None),),))
+    return ((ImpulseSystem(domain.lo, domain.hi, b, tuple(kernels[:2])), cons),
+            (ImpulseSystem(domain.lo, domain.hi, b, tuple(exact_kernels[:2])), exact_cons))
+
+
+def assert_rows_close(rows, ref, sys, cons):
+    """|rows - ref| <= 4u max(1, |ref|, size), u = 2^-52.
+
+    size is b times the largest sum of |c_i| R^i over a kernel's pieces, with
+    R the largest |t| on the domain: the terms that float evaluation at a
+    rounded time sums, whose rounding errors are not bounded by the value.
+    """
+    radius = max(abs(float(sys.t0)), abs(float(sys.theta0)))
+    size = np.array([float(sys.b) * max(sum(abs(float(c)) * radius ** i
+                                            for i, c in enumerate(cs)) for cs in k.pieces)
+                     for k in sys.pi + cons.s])
+    assert rows.shape == ref.shape
+    tol = 4 * 2.0 ** -52 * np.maximum(np.maximum(1.0, np.abs(ref)), size)
+    assert np.all(np.abs(rows - ref) <= tol), np.max(np.abs(rows - ref) / tol)
+
+
+DOMAINS = [UNIT, Interval.make("1/3", "7/5")]
+
+
+def test_quadrature_rule_is_exact_for_every_allowed_degree():
+    nodes, weights = np.polynomial.legendre.leggauss(MAX_DEGREE // 2 + 1)
+    assert np.allclose(_GL_NODES, nodes, rtol=0, atol=1e-15)
+    assert np.allclose(_GL_WEIGHTS, weights, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("mesh,trials", [(1, 30), (7, 30), (1024, 1)])
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("domain", DOMAINS, ids=str)
+def test_mesh_rows_match_exact_cell_averages(domain, exact, mesh, trials):
+    rng = random.Random(f"{domain} {exact} {mesh}")
+    for _ in range(trials):
+        (sys, cons), (exact_sys, exact_cons) = random_rows_problem(rng, domain, mesh, exact)
+        assert_rows_close(_mesh_generators(sys, cons, mesh),
+                          reference_mesh_rows(exact_sys, exact_cons, mesh), sys, cons)
+
+
+@pytest.mark.parametrize("t_grid_size", [2, 9, 65])
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("domain", DOMAINS, ids=str)
+def test_curve_rows_match_exact_side_limits(domain, exact, t_grid_size):
+    rng = random.Random(f"{domain} {exact} {t_grid_size}")
+    for _ in range(20):
+        (sys, cons), (exact_sys, exact_cons) = random_rows_problem(rng, domain, 8, exact)
+        assert_rows_close(_augmented_curve_samples(sys, cons, t_grid_size),
+                          reference_curve_rows(exact_sys, exact_cons, t_grid_size),
+                          sys, cons)
+
+
+@pytest.mark.parametrize("name", ["zigzag", "velocity_pin"])
+def test_sets_equal_projection_of_exact_reference_rows(name):
+    sys, cons, task = load_scenario(SCENARIOS / f"{name}.json")
+    partial = cons.J if task.get("relaxation") == "partial" else None
+    cfg = ReachConfig(int(task["mesh"]), num_from_json(task["epsilon"]),
+                      int(task["directions"]), partial)
+    boxes = [relax_box(box, cfg.epsilon, cfg.partial_j) for box in cons.boxes]
+    expected = _project(reference_mesh_rows(sys, cons, cfg.mesh), boxes, cfg.directions)
+    assert relaxed_reach(sys, cons, cfg).to_json() == expected.to_json()
+    t_grid = int(task["t_grid"])
+    expected = _project(reference_curve_rows(sys, cons, t_grid), cons.boxes, cfg.directions)
+    assert universal_mp(sys, cons, t_grid, cfg.directions).to_json() == expected.to_json()

@@ -256,6 +256,16 @@ def test_non_planar_scenario_exits_2(tmp_path):
         assert main([command, "--scenario", str(path)]) == 2, command
 
 
+@pytest.mark.parametrize("command", ["reach", "mp"])
+@pytest.mark.parametrize("directions", ["0", "2"])
+def test_fewer_than_three_directions_exits_2(tmp_path, command, directions):
+    path = zigzag_scenario(tmp_path)
+    out = tmp_path / "set.json"
+    assert main([command, "--scenario", str(path), "--directions", directions,
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_builders_require_thrust_orientation(tmp_path):
     pi2 = {"breakpoints": ["0", "1"], "pieces": [[1]], "point_values": [1, 1]}
     path = tmp_path / "nob.json"
