@@ -4,6 +4,8 @@ Both approximate sets are hulls of generator rows sliced by target boxes.
 relaxed_reach takes the step controls on a uniform mesh: their joint
 (terminal, constraint) moments form the convex hull of b times the cell
 averages of the kernels, one row per cell, sliced by the relaxed target.
+A row that the kernels' affine pieces place on the segment between its
+neighbours is dropped first, which leaves the hull unchanged.
 universal_mp takes the generalized controls: the mass-b measure cone is the
 closed convex hull of the scaled one-sided Diracs, so its rows are b times
 the one-sided kernel limits on a time grid, sliced by the exact target.
@@ -11,10 +13,11 @@ The rows are floats of the exact kernels: a cell inside one kernel piece is
 averaged by Gauss-Legendre quadrature in float, a cell that a breakpoint
 splits is integrated exactly and rounded, and each limit is evaluated in
 float on the piece found exactly.
-One support-function engine projects either hull to the terminal plane:
-per box, the optimal points of LPs over a fan of directions span an inner
-approximation that tightens with the fan.  short_impulse_mp is the exact
-union of one-sided-limit segments for the vanishing-support constraint
+One projection engine maps either hull to the terminal plane: per box, one
+shadow-vertex sweep of the simplex enumerates the vertices of the sliced
+hull's image, so each piece is that polygon exactly, up to rounding.  The
+directions argument is validated but shapes no set.  short_impulse_mp is the
+exact union of one-sided-limit segments for the vanishing-support constraint
 family.  Every set is planar: systems with other than two terminal kernels
 are rejected.
 """
@@ -34,7 +37,7 @@ from .errors import DomainError, EmptySetError, NumericError, PreconditionError
 from .intervals import Cell, Interval
 from .piecewise import LEFT, MAX_DEGREE, RIGHT, PiecewiseFn, integrate_eta
 from .rational import Number, fmt_rat, num_from_json, num_to_json, rat
-from .simplex import INFEASIBLE, OPTIMAL, solve_lp
+from .simplex import shadow_vertices
 
 Vec = tuple[Number, ...]
 
@@ -271,21 +274,6 @@ def directed_distance(a: PlanarSet, b: PlanarSet) -> float:
     return _directed(a, b)
 
 
-def fan_slack(ps: PlanarSet, directions: int) -> float:
-    """Heuristic tolerance for the inner-approximation gap of a direction fan.
-
-    diam * (1 - cos(pi/directions)), with diam the widest side of the
-    bounding box, is not a bound: the gap can exceed it.  A rigorous bound
-    is (Euclidean diameter / 2) * tan(pi/directions).
-    """
-    corners = _corners(ps)
-    if not corners:
-        return 0.0
-    arr = np.asarray(corners)
-    diam = float(np.max(arr.max(axis=0) - arr.min(axis=0)))
-    return diam * (1.0 - math.cos(math.pi / directions)) + 1e-9
-
-
 # -- reachable sets -------------------------------------------------------------
 
 
@@ -317,14 +305,13 @@ def _project(gens: np.ndarray,
 
     gens holds one row per generator: the two terminal coordinates, then the
     constraint coordinates.  For each box the weights x >= 0 with sum x = 1
-    are bounded by the box on gens' constraint part, and the optimal points
-    of the support LPs over a fan of directions span that box's piece.  An
-    infeasible box contributes nothing.
+    are bounded by the box on gens' constraint part, and one shadow-vertex
+    sweep of the two terminal costs visits every vertex of that box's piece.
+    An infeasible box contributes nothing.  directions is only validated: no
+    set depends on it.
     """
     if directions < 3:
         raise DomainError("need at least 3 fan directions")
-    angles = 2.0 * math.pi * np.arange(directions) / directions
-    fan = np.column_stack([np.cos(angles), np.sin(angles)])
     terminal = gens[:, :2].T
     result = PlanarSet.empty()
     for box in boxes:
@@ -344,19 +331,11 @@ def _project(gens: np.ndarray,
             if lo is not None:
                 ub_rows.append(-row)
                 ub_rhs.append(-lo)
-        A_eq = np.vstack(eq_rows)
         A_ub = np.vstack(ub_rows) if ub_rows else None
-        points = []
-        for d in fan:
-            res = solve_lp(-(d @ terminal), A_eq=A_eq, b_eq=eq_rhs,
-                           A_ub=A_ub, b_ub=ub_rhs)
-            if res.status == INFEASIBLE:
-                break
-            if res.status != OPTIMAL:
-                raise NumericError(f"support LP ended with status {res.status}")
-            points.append(terminal @ res.x)
-        else:
-            result = result.merge(hull_piece(points))
+        visited = shadow_vertices(-terminal[0], -terminal[1], np.vstack(eq_rows), eq_rhs,
+                                  A_ub, ub_rhs)
+        if visited is not None:
+            result = result.merge(hull_piece([terminal @ x for x in visited]))
     return result
 
 
@@ -384,6 +363,20 @@ def _horner(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _cell_pieces(kernel: PiecewiseFn, t0: Fraction, step: Fraction,
+                 mesh: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per mesh cell, the kernel piece it starts in and whether a breakpoint splits it."""
+    # cell k lies right of an inner breakpoint at u cells from t0 iff ceil(u) <= k
+    starts = []
+    split = np.zeros(mesh, dtype=bool)
+    for t in kernel.breakpoints[1:-1]:
+        u = (t - t0) / step
+        starts.append(math.ceil(u))
+        if u.denominator != 1:
+            split[math.floor(u)] = True
+    return np.searchsorted(starts, np.arange(mesh), side="right"), split
+
+
 def _mesh_generators(sys: ImpulseSystem, cons: ConstraintSpec, mesh: int) -> np.ndarray:
     """One row per mesh cell: b times the cell averages of the pi and s kernels.
 
@@ -392,7 +385,7 @@ def _mesh_generators(sys: ImpulseSystem, cons: ConstraintSpec, mesh: int) -> np.
     piece of a kernel is averaged in float by Gauss-Legendre quadrature, written
     as the midpoint value plus weighted differences so that a constant piece
     averages to itself.  A cell that a kernel breakpoint splits is integrated
-    exactly, over the exact value of every float coefficient.
+    exactly and rounded once.
     """
     kernels = sys.pi + cons.s
     step = (sys.theta0 - sys.t0) / mesh
@@ -406,26 +399,33 @@ def _mesh_generators(sys: ImpulseSystem, cons: ConstraintSpec, mesh: int) -> np.
     length = float(step)
     rows = np.empty((mesh, len(kernels)))
     for j, kernel in enumerate(kernels):
-        # cell k lies right of an inner breakpoint at u cells from t0 iff ceil(u) <= k
-        starts = []
-        split = set()
-        for t in kernel.breakpoints[1:-1]:
-            u = (t - sys.t0) / step
-            starts.append(math.ceil(u))
-            if u.denominator != 1:
-                split.add(math.floor(u))
-        pieces = np.searchsorted(starts, np.arange(mesh), side="right")
+        pieces, split = _cell_pieces(kernel, sys.t0, step, mesh)
         values = _horner(_coefficient_table(kernel)[pieces][:, None, :], nodes)
         centre = values[:, 1:2]
         rows[:, j] = b * (centre[:, 0] + ((values - centre) * (_GL_WEIGHTS / 2)).sum(axis=1))
-        if split:
-            exact = PiecewiseFn(kernel.breakpoints,
-                                tuple(tuple(Fraction(c) for c in cs) for cs in kernel.pieces),
-                                kernel.point_values)
-            for k in split:
-                cell = Cell((Interval(sys.t0 + k * step, sys.t0 + (k + 1) * step),))
-                rows[k, j] = b * float(integrate_eta(exact, cell)) / length
+        for k in np.flatnonzero(split).tolist():
+            cell = Cell((Interval(sys.t0 + k * step, sys.t0 + (k + 1) * step),))
+            rows[k, j] = b * float(integrate_eta(kernel, cell)) / length
     return rows
+
+
+def _collinear_rows(sys: ImpulseSystem, cons: ConstraintSpec, mesh: int) -> np.ndarray:
+    """Mask of the mesh rows that lie on the segment between their neighbours.
+
+    That holds for cell k when cells k-1, k and k+1 lie in the same piece of
+    every kernel, no breakpoint splits them, and each such piece has degree
+    <= 1: the three rows are then one affine map's values at equally spaced
+    midpoints.  Dropping these rows leaves the hull unchanged.
+    """
+    step = (sys.theta0 - sys.t0) / mesh
+    inner = np.zeros(mesh, dtype=bool)
+    inner[1:-1] = True
+    for kernel in sys.pi + cons.s:
+        pieces, split = _cell_pieces(kernel, sys.t0, step, mesh)
+        affine = np.array([len(cs) <= 2 for cs in kernel.pieces])[pieces]
+        inner[1:-1] &= ((pieces[:-2] == pieces[2:]) & affine[1:-1]
+                        & ~(split[:-2] | split[1:-1] | split[2:]))
+    return inner
 
 
 def relaxed_reach(sys: ImpulseSystem, cons: ConstraintSpec,
@@ -440,7 +440,8 @@ def relaxed_reach(sys: ImpulseSystem, cons: ConstraintSpec,
                 raise PreconditionError(
                     "exact (Partial) coordinates need step constraint kernels")
     boxes = [relax_box(box, cfg.epsilon, cfg.partial_j) for box in cons.boxes]
-    return _project(_mesh_generators(sys, cons, cfg.mesh), boxes, cfg.directions)
+    gens = _mesh_generators(sys, cons, cfg.mesh)
+    return _project(gens[~_collinear_rows(sys, cons, cfg.mesh)], boxes, cfg.directions)
 
 
 def _augmented_curve_samples(sys: ImpulseSystem, cons: ConstraintSpec,
@@ -526,7 +527,6 @@ class CoincidenceEntry:
     d_full_universal: float
     d_partial_universal: float
     partial_inside_full: bool
-    slack: float
 
     def to_json(self) -> dict:
         return {
@@ -536,7 +536,6 @@ class CoincidenceEntry:
             "d_full_universal": num_to_json(self.d_full_universal),
             "d_partial_universal": num_to_json(self.d_partial_universal),
             "partial_inside_full": self.partial_inside_full,
-            "slack": num_to_json(self.slack),
         }
 
 
@@ -567,17 +566,16 @@ def coincidence_check(sys: ImpulseSystem, cons: ConstraintSpec,
         full = relaxed_reach(sys, cons, ReachConfig.full(mesh, epsilon, directions))
         partial = relaxed_reach(
             sys, cons, ReachConfig.partial(cons.J, mesh, epsilon, directions))
-        slack = fan_slack(full, directions) + 1e-7
         if full.is_empty or partial.is_empty or universal.is_empty:
             raise NumericError("coincidence check needs nonempty reach sets")
+        extent = max(abs(c) for p in _corners(full) for c in p)
         entries.append(CoincidenceEntry(
             mesh=mesh,
             epsilon=float(epsilon),
             d_full_partial=hausdorff_distance(full, partial),
             d_full_universal=hausdorff_distance(full, universal),
             d_partial_universal=hausdorff_distance(partial, universal),
-            partial_inside_full=directed_distance(partial, full) <= slack,
-            slack=slack,
+            partial_inside_full=directed_distance(partial, full) <= 1e-9 * max(1.0, extent),
         ))
     gaps = [max(e.d_full_universal, e.d_partial_universal) for e in entries]
     decreasing = all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))

@@ -66,13 +66,9 @@ def poly_add(a: Sequence[Number], b: Sequence[Number], alpha=1, beta=1) -> Coeff
 
 
 def poly_antiderivative(coeffs: Sequence[Number]) -> Coeffs:
-    out: list[Number] = [0]
-    for k, c in enumerate(coeffs):
-        if isinstance(c, float):
-            out.append(c / (k + 1))
-        else:
-            out.append(Fraction(c, k + 1) if isinstance(c, int) else c / (k + 1))
-    return tuple(out)
+    """The antiderivative vanishing at 0, over the exact value of every coefficient."""
+    return (Fraction(0),) + tuple((c if isinstance(c, Fraction) else Fraction(c)) / (k + 1)
+                                  for k, c in enumerate(coeffs))
 
 
 @dataclass(frozen=True)
@@ -288,10 +284,15 @@ def sup_norm(f: PiecewiseFn) -> Number:
 
 
 def integrate_eta(f: PiecewiseFn, a: Cell) -> Number:
-    """Antiderivative-based integral of f over the cell; point values ignored."""
+    """Antiderivative-based integral of f over the cell; point values ignored.
+
+    Float coefficients are integrated at their exact values and the total is
+    rounded to float once, so the result is the correctly rounded integral.
+    """
     if not a.within(f.domain):
         raise DomainError("integration cell must lie in the domain")
-    total: Number = 0
+    total = Fraction(0)
+    rounded = False
     for part in a.parts:
         lo, hi = part.lo, part.hi
         if lo == hi:
@@ -301,11 +302,12 @@ def integrate_eta(f: PiecewiseFn, a: Cell) -> Number:
         cursor = lo
         while cursor < hi:
             seg_hi = min(hi, f.breakpoints[i + 1])
+            rounded = rounded or any(isinstance(c, float) for c in f.pieces[i])
             anti = poly_antiderivative(f.pieces[i])
             total += poly_eval(anti, seg_hi) - poly_eval(anti, cursor)
             cursor = seg_hi
             i += 1
-    return total
+    return float(total) if rounded else total
 
 
 def step_values(f: PiecewiseFn) -> list[tuple[Fraction, Fraction, Number]]:

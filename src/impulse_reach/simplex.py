@@ -1,13 +1,22 @@
-"""Dense two-phase simplex for the support-function subproblems.
+"""Dense two-phase simplex and the shadow-vertex sweep of the set projections.
 
-Problems here are tiny (a handful of rows, up to about a thousand columns),
-so a plain dense tableau with Dantzig pricing and a largest-pivot ratio
-tie-break is plenty; Bland's rule kicks in if the iteration count suggests
-cycling.  Minimizes c.x subject to A_eq x = b_eq, A_ub x <= b_ub, x >= 0.
+Problems here are tiny (a few dozen rows, up to about a thousand columns),
+so a plain dense tableau is plenty.  Both solvers take x >= 0 subject to
+A_eq x = b_eq, A_ub x <= b_ub and share one phase 1.
+
+solve_lp minimizes c.x with Dantzig pricing and a largest-pivot ratio
+tie-break; Bland's rule kicks in if the iteration count suggests cycling.
+
+shadow_vertices is the parametric simplex of Gass and Saaty: it carries two
+cost rows through every pivot and walks, as theta runs once around the
+circle, the bases optimal for cos(theta) c1 + sin(theta) c2.  Their points
+(-c1.x, -c2.x) run counterclockwise through every vertex of the feasible
+set's image under that map, so the walk enumerates the polygon exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -38,10 +47,32 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
+def _leaving_row(T: np.ndarray, basis: np.ndarray, col: int, bland: bool) -> Optional[int]:
+    """The ratio test's row for entering col, or None when col is unbounded.
+
+    Ties go to the largest pivot, or under Bland's rule to the smallest
+    basic column.
+    """
+    m = basis.size
+    ratios = np.full(m, np.inf)
+    pos = T[:m, col] > EPS
+    ratios[pos] = T[:m, -1][pos] / T[:m, col][pos]
+    best = np.min(ratios)
+    if not np.isfinite(best):
+        return None
+    candidates = np.nonzero(ratios <= best + EPS)[0]
+    if bland:
+        return int(candidates[np.argmin(basis[candidates])])
+    return int(candidates[np.argmax(T[candidates, col])])
+
+
 def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int,
                  max_iter: int) -> str:
-    """Iterate on a tableau whose last row is the (negated-cost) objective."""
-    m = T.shape[0] - 1
+    """Iterate on a tableau whose last row is the (negated-cost) objective.
+
+    The first basis.size rows are the constraints; rows between them and
+    the objective ride along every pivot.
+    """
     bland_after = max_iter // 2
     for it in range(max_iter):
         obj = T[-1, :ncols]
@@ -55,27 +86,15 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int,
             col = int(np.argmin(obj))
             if obj[col] >= -EPS:
                 return OPTIMAL
-        ratios = np.full(m, np.inf)
-        pos = T[:m, col] > EPS
-        ratios[pos] = T[:m, -1][pos] / T[:m, col][pos]
-        best = np.min(ratios)
-        if not np.isfinite(best):
+        row = _leaving_row(T, basis, col, bland)
+        if row is None:
             return UNBOUNDED
-        candidates = np.nonzero(ratios <= best + EPS)[0]
-        if bland:
-            row = int(candidates[np.argmin(basis[candidates])])
-        else:
-            row = int(candidates[np.argmax(T[candidates, col])])
         _pivot(T, basis, row, col)
     raise NumericError("simplex iteration limit reached")
 
 
-def solve_lp(c: Sequence[float],
-             A_eq: Optional[np.ndarray] = None, b_eq: Optional[Sequence[float]] = None,
-             A_ub: Optional[np.ndarray] = None, b_ub: Optional[Sequence[float]] = None,
-             ) -> LPResult:
-    c = np.asarray(c, dtype=float)
-    n = c.size
+def _standard_form(n: int, A_eq, b_eq, A_ub, b_ub) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Rows [A_ub I; A_eq 0] and their right-hand side, or None without rows."""
     rows: list[np.ndarray] = []
     rhs: list[float] = []
     n_slack = 0 if A_ub is None else len(b_ub)
@@ -95,60 +114,134 @@ def solve_lp(c: Sequence[float],
             row[:n] = A_eq[i]
             rows.append(row)
             rhs.append(float(b_eq[i]))
-
     if not rows:
-        if np.all(c >= -EPS):
-            return LPResult(OPTIMAL, np.zeros(n), 0.0)
-        return LPResult(UNBOUNDED, None, -np.inf)
+        return None
+    return np.vstack(rows), np.asarray(rhs, dtype=float)
 
-    A = np.vstack(rows)
-    b = np.asarray(rhs, dtype=float)
+
+def _phase1(A: np.ndarray, b: np.ndarray,
+            max_iter: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """A feasible basis of A x = b, x >= 0, or None when there is none.
+
+    Returns the tableau rows over the columns of A and the right-hand side,
+    and the basis.  Rows that turn out redundant are dropped.
+    """
     neg = b < 0
     A[neg] *= -1.0
     b[neg] *= -1.0
     m, total = A.shape
 
-    # phase 1: one artificial per row, drive their sum to zero
-    art = total + np.arange(m)
+    # one artificial per row, drive their sum to zero
     T = np.zeros((m + 1, total + m + 1))
     T[:m, :total] = A
     T[:m, total:total + m] = np.eye(m)
     T[:m, -1] = b
-    basis = art.copy()
+    basis = total + np.arange(m)
     T[-1, :] = -T[:m, :].sum(axis=0)
     T[-1, total:total + m] = 0.0
-    max_iter = 200 * (m + total)
     status = _run_simplex(T, basis, total + m, max_iter)
     if status != OPTIMAL or T[-1, -1] < -1e-7:
-        return LPResult(INFEASIBLE, None, np.inf)
+        return None
 
     # pivot remaining artificials out of the basis (or drop redundant rows)
-    keep_rows = list(range(m))
+    keep = []
     for r in range(m):
         if basis[r] >= total:
             piv_cols = np.nonzero(np.abs(T[r, :total]) > EPS)[0]
-            if piv_cols.size:
-                _pivot(T, basis, r, int(piv_cols[0]))
-            else:
-                keep_rows.remove(r)
-    if len(keep_rows) < m:
-        T = np.vstack([T[keep_rows], T[-1:]])
-        basis = basis[keep_rows]
-        m = len(keep_rows)
+            if not piv_cols.size:
+                continue
+            _pivot(T, basis, r, int(piv_cols[0]))
+        keep.append(r)
+    return np.hstack([T[keep, :total], T[keep, -1:]]), basis[keep]
 
-    # phase 2 objective
-    T2 = np.zeros((m + 1, total + 1))
-    T2[:m, :total] = T[:m, :total]
-    T2[:m, -1] = T[:m, -1]
-    T2[-1, :n] = c
-    for r in range(m):
-        col = basis[r]
-        if T2[-1, col] != 0.0:
-            T2[-1] -= T2[-1, col] * T2[r]
-    status = _run_simplex(T2, basis, total, max_iter)
-    if status == UNBOUNDED:
+
+def _with_costs(rows: np.ndarray, basis: np.ndarray,
+                costs: Sequence[np.ndarray]) -> np.ndarray:
+    """The tableau: the constraint rows, then each cost's reduced-cost row."""
+    m = basis.size
+    T = np.zeros((m + len(costs), rows.shape[1]))
+    T[:m] = rows
+    for i, c in enumerate(costs):
+        T[m + i, :c.size] = c
+        for r in range(m):
+            col = basis[r]
+            if T[m + i, col] != 0.0:
+                T[m + i] -= T[m + i, col] * T[r]
+    return T
+
+
+def _basic_solution(T: np.ndarray, basis: np.ndarray, n: int) -> np.ndarray:
+    x = np.zeros(T.shape[1] - 1)
+    x[basis] = T[:basis.size, -1]
+    return x[:n]
+
+
+def solve_lp(c: Sequence[float],
+             A_eq: Optional[np.ndarray] = None, b_eq: Optional[Sequence[float]] = None,
+             A_ub: Optional[np.ndarray] = None, b_ub: Optional[Sequence[float]] = None,
+             ) -> LPResult:
+    c = np.asarray(c, dtype=float)
+    n = c.size
+    form = _standard_form(n, A_eq, b_eq, A_ub, b_ub)
+    if form is None:
+        if np.all(c >= -EPS):
+            return LPResult(OPTIMAL, np.zeros(n), 0.0)
         return LPResult(UNBOUNDED, None, -np.inf)
-    x = np.zeros(total)
-    for r in range(m):
-        x[basis[r]] = T2[r, -1]
-    return LPResult(OPTIMAL, x[:n], float(c @ x[:n]))
+    A, b = form
+    max_iter = 200 * sum(A.shape)
+    start = _phase1(A, b, max_iter)
+    if start is None:
+        return LPResult(INFEASIBLE, None, np.inf)
+    rows, basis = start
+    T = _with_costs(rows, basis, [c])
+    if _run_simplex(T, basis, rows.shape[1] - 1, max_iter) == UNBOUNDED:
+        return LPResult(UNBOUNDED, None, -np.inf)
+    x = _basic_solution(T, basis, n)
+    return LPResult(OPTIMAL, x, float(c @ x))
+
+
+def shadow_vertices(c1: Sequence[float], c2: Sequence[float],
+                    A_eq: np.ndarray, b_eq: Sequence[float],
+                    A_ub: Optional[np.ndarray] = None,
+                    b_ub: Optional[Sequence[float]] = None) -> Optional[list[np.ndarray]]:
+    """The x of every basis the sweep visits, in order; None when infeasible.
+
+    Each basis is optimal for min (cos(theta) c1 + sin(theta) c2).x on an arc
+    of theta.  The sweep optimizes for theta = 0, then repeatedly advances
+    theta to where the first nonbasic column's reduced cost r1 cos + r2 sin
+    turns negative and pivots that column in, until theta passes 2 pi.  A
+    column's step lies in [0, pi]; one above 3 pi / 2 is a rounded-negative
+    reduced cost and enters now.  Columns with |(r1, r2)| <= EPS, the basic
+    ones among them, never enter, and equal steps go to the smallest column
+    index.  The feasible set must be bounded.
+    """
+    c1 = np.asarray(c1, dtype=float)
+    c2 = np.asarray(c2, dtype=float)
+    n = c1.size
+    A, b = _standard_form(n, A_eq, b_eq, A_ub, b_ub)
+    max_iter = 200 * sum(A.shape)
+    start = _phase1(A, b, max_iter)
+    if start is None:
+        return None
+    rows, basis = start
+    m, total = basis.size, rows.shape[1] - 1
+    T = _with_costs(rows, basis, [c2, c1])  # theta = 0 optimizes the last row
+    if _run_simplex(T, basis, total, max_iter) != OPTIMAL:
+        raise NumericError("shadow-vertex sweep over an unbounded set")
+    r2, r1 = T[m, :total], T[m + 1, :total]  # views that every pivot updates
+    visited = [_basic_solution(T, basis, n)]
+    theta = 0.0
+    for _ in range(max_iter):
+        step = np.mod(np.arctan2(r2, r1) + math.pi / 2 - theta, 2 * math.pi)
+        step[step > 1.5 * math.pi] = 0.0
+        step[np.hypot(r1, r2) <= EPS] = np.inf  # basic columns' are exactly 0
+        col = int(np.argmin(step))
+        theta += step[col]
+        if not theta < 2 * math.pi:
+            return visited
+        row = _leaving_row(T, basis, col, bland=False)
+        if row is None:
+            raise NumericError("shadow-vertex sweep over an unbounded set")
+        _pivot(T, basis, row, col)
+        visited.append(_basic_solution(T, basis, n))
+    raise NumericError("shadow-vertex sweep iteration limit reached")

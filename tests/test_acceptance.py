@@ -12,7 +12,6 @@ from impulse_reach.attainability import (
     PlanarSet,
     ReachConfig,
     coincidence_check,
-    fan_slack,
     hausdorff_distance,
     relaxed_reach,
     universal_mp,
@@ -199,12 +198,11 @@ def test_criterion_6_reach_convergence():
         assert [Fraction(coord) for coord in seg[1]] == [F(7, 8), 1]
 
         limit = PlanarSet(segments=(((0.0, 1.0), (1.0, 1.0)),))
-        slack = fan_slack(limit, 360)
         prev = float("inf")
         for mesh in (4, 16, 64, 256):
             ps = relaxed_reach(sys, cons, ReachConfig.full(mesh, 0.01, 360))
             d = hausdorff_distance(ps, limit)
-            assert d <= 1.0 / mesh + slack
+            assert d <= 1.0 / mesh + 1e-9
             assert d <= prev + 1e-12
             prev = d
 

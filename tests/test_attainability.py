@@ -14,12 +14,12 @@ from impulse_reach.attainability import (
     _GL_NODES,
     _GL_WEIGHTS,
     _augmented_curve_samples,
+    _collinear_rows,
     _mesh_generators,
     _project,
     coincidence_check,
     convex_hull_2d,
     directed_distance,
-    fan_slack,
     hausdorff_distance,
     hull_piece,
     point_segment_distance,
@@ -34,6 +34,7 @@ from impulse_reach.errors import DomainError, EmptySetError, PreconditionError
 from impulse_reach.intervals import Interval, eta, uniform_partition
 from impulse_reach.piecewise import LEFT, MAX_DEGREE, RIGHT, PiecewiseFn, integrate_eta
 from impulse_reach.rational import num_from_json
+from impulse_reach.simplex import INFEASIBLE, OPTIMAL, solve_lp
 
 F = Fraction
 UNIT = Interval.make(0, 1)
@@ -131,8 +132,6 @@ def test_distance_rejects_arcs():
         hausdorff_distance(PlanarSet(arcs=(arc,)), pt)
     with pytest.raises(DomainError):
         directed_distance(pt, PlanarSet(arcs=(arc,)))
-    with pytest.raises(DomainError):
-        fan_slack(PlanarSet(arcs=(arc,)), 90)
 
 
 def test_distance_rejects_segment_against_union():
@@ -187,15 +186,14 @@ def test_reach_monotone_in_epsilon():
     sys, cons = velocity_constrained_sys()
     small = relaxed_reach(sys, cons, ReachConfig.full(64, 0.001, 90))
     large = relaxed_reach(sys, cons, ReachConfig.full(64, 0.01, 90))
-    slack = fan_slack(large, 90) + 1e-9
-    assert directed_distance(small, large) <= slack
+    assert directed_distance(small, large) <= 1e-9
 
 
 def test_reach_partial_inside_full():
     sys, cons = velocity_constrained_sys()
     full = relaxed_reach(sys, cons, ReachConfig.full(64, 0.01, 90))
     partial = relaxed_reach(sys, cons, ReachConfig.partial({1}, 64, 0.01, 90))
-    assert directed_distance(partial, full) <= fan_slack(full, 90) + 1e-9
+    assert directed_distance(partial, full) <= 1e-9
 
 
 def test_reach_partial_requires_step_kernels():
@@ -264,7 +262,7 @@ def test_universal_monotone_in_grid():
     sys, cons = velocity_constrained_sys()
     coarse = universal_mp(sys, cons, t_grid_size=17, directions=64)
     fine = universal_mp(sys, cons, t_grid_size=33, directions=64)  # nested grid
-    assert directed_distance(coarse, fine) <= fan_slack(fine, 64) + 1e-9
+    assert directed_distance(coarse, fine) <= 1e-9
 
 
 def test_universal_rejects_constraint_kernel_on_other_domain():
@@ -397,7 +395,7 @@ def test_reach_zigzag_polygon_converges_to_universal():
         assert len(ps.polygons) == 1
         assert_convex_ccw(ps.polygons[0])
         d = hausdorff_distance(ps, mp)
-        assert d <= 1.0 / mesh + fan_slack(mp, 90)
+        assert d <= 1.0 / mesh + 1e-9
         assert d <= prev + 1e-12
         prev = d
 
@@ -411,7 +409,7 @@ def test_reach_converges_to_universal_segment():
     for mesh in (4, 16, 64):
         ps = relaxed_reach(sys, cons, ReachConfig.full(mesh, 0.01, 90))
         d = hausdorff_distance(ps, limit)
-        assert d <= 1.0 / mesh + fan_slack(limit, 90)
+        assert d <= 1.0 / mesh + 1e-9
         assert d <= last + 1e-12
         last = d
 
@@ -490,9 +488,10 @@ def reference_curve_rows(sys, cons, t_grid_size):
     return np.asarray(rows)
 
 
-def random_kernel(rng, domain, mesh, exact):
-    """Pieces of degree 0-4, cut on grid points, strictly inside a cell, or
-    twice inside one cell of the uniform mesh; rational or float coefficients."""
+def random_kernel(rng, domain, mesh, exact, max_degree=MAX_DEGREE):
+    """Pieces of degree 0 to max_degree, cut on grid points, strictly inside a
+    cell, or twice inside one cell of the uniform mesh; rational or float
+    coefficients."""
     step = (domain.hi - domain.lo) / mesh
     cuts = {domain.lo, domain.hi}
     for kind in rng.sample(("grid", "inside", "twice inside"), rng.randint(0, 3)):
@@ -505,7 +504,7 @@ def random_kernel(rng, domain, mesh, exact):
             cuts.update(domain.lo + (k + f) * step for f in (F(1, 3), F(3, 4)))
     bps = sorted(cuts)
     pieces = [[F(rng.randint(-30, 30), rng.choice((3, 7, 10))) if exact
-               else rng.uniform(-3.0, 3.0) for _ in range(rng.randint(1, 5))]
+               else rng.uniform(-3.0, 3.0) for _ in range(rng.randint(1, max_degree + 1))]
               for _ in bps[1:]]
     return PiecewiseFn.build(bps, pieces)
 
@@ -584,3 +583,153 @@ def test_sets_equal_projection_of_exact_reference_rows(name):
     t_grid = int(task["t_grid"])
     expected = _project(reference_curve_rows(sys, cons, t_grid), cons.boxes, cfg.directions)
     assert universal_mp(sys, cons, t_grid, cfg.directions).to_json() == expected.to_json()
+
+
+# -- projection by the shadow-vertex sweep ------------------------------------------
+
+
+def box_lp(gens, box):
+    """The constraints of the weights x: sum x = 1 and the box on gens'
+    constraint part, as solve_lp and linprog take them."""
+    A_ub, b_ub = [], []
+    A_eq, b_eq = [np.ones(gens.shape[0])], [1.0]
+    for row, (lo, hi) in zip(gens[:, 2:].T, box):
+        if lo is not None and lo == hi:
+            A_eq.append(row)
+            b_eq.append(lo)
+            continue
+        if hi is not None:
+            A_ub.append(row)
+            b_ub.append(hi)
+        if lo is not None:
+            A_ub.append(-row)
+            b_ub.append(-lo)
+    return dict(A_eq=np.vstack(A_eq), b_eq=b_eq,
+                A_ub=np.vstack(A_ub) if A_ub else None, b_ub=b_ub or None)
+
+
+def support_lp(gens, box, d):
+    """max d . terminal over the box's slice of the generator hull, by one
+    cold LP: the value and the optimal point, or None when infeasible."""
+    res = solve_lp(-(gens[:, :2] @ d), **box_lp(gens, box))
+    if res.status == INFEASIBLE:
+        return None
+    assert res.status == OPTIMAL
+    return -res.value, gens[:, :2].T @ res.x
+
+
+CLOUD_KINDS = ("free", "box", "equality", "infeasible", "point", "segment")
+
+
+def random_cloud(rng, kind):
+    """Generator rows (two terminal coordinates, then constraint ones) with
+    duplicate and collinear rows, and a box of the given kind: no box, a
+    two-sided box, an equality slice, an empty slice, or an equality on the
+    first terminal coordinate that pins a single point or a segment."""
+    pts = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(rng.randint(1, 12))]
+    for _ in range(rng.randint(0, 5)):
+        a, b = rng.choice(pts), rng.choice(pts)
+        s = rng.choice((0.0, 0.25, 0.5, 1.0))
+        pts.append((a[0] + s * (b[0] - a[0]), a[1] + s * (b[1] - a[1])))
+    if kind == "point":
+        pts.append((3.0, rng.uniform(-2, 2)))
+    if kind == "segment":
+        pts += [(3.0, -1.5), (3.0, 0.5), (3.0, rng.uniform(-1.5, 0.5))]
+    rng.shuffle(pts)
+    terminal = np.array(pts)
+    if kind == "free":
+        return terminal, ()
+    if kind in ("point", "segment"):
+        return np.column_stack([terminal, terminal[:, 0]]), ((3.0, 3.0),)
+    w = np.array([[rng.uniform(-1, 1) for _ in range(2)] for _ in range(2)])
+    cons = terminal @ w
+    lo, hi = cons.min(axis=0), cons.max(axis=0)
+    if kind == "infeasible":
+        box = ((hi[0] + 1.0, hi[0] + 2.0), (None, None))
+    elif kind == "equality":
+        box = ((float(rng.uniform(lo[0], hi[0])),) * 2, (None, float(rng.uniform(lo[1], hi[1]))))
+    else:
+        cuts = sorted(rng.uniform(lo[0], hi[0]) for _ in range(2))
+        box = ((cuts[0], cuts[1]), (float(rng.uniform(lo[1], hi[1])), None))
+    return np.column_stack([terminal, cons]), box
+
+
+def fan(directions):
+    angles = 2.0 * math.pi * np.arange(directions) / directions
+    return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+def set_corners(ps):
+    return np.array([p for poly in ps.polygons for p in poly]
+                    + [p for seg in ps.segments for p in seg] + list(ps.points), float)
+
+
+@pytest.mark.parametrize("kind", CLOUD_KINDS)
+def test_projection_is_the_exact_polygon_of_random_clouds(kind):
+    rng = random.Random(f"cloud {kind}")
+    for _ in range(12):
+        gens, box = random_cloud(rng, kind)
+        ps = _project(gens, [box], 64)
+        lps = [support_lp(gens, box, d) for d in fan(64)]
+        if lps[0] is None:
+            assert ps.is_empty and all(lp is None for lp in lps)
+            continue
+        assert kind != "infeasible"
+        corners = set_corners(ps)
+        for d, (value, _) in zip(fan(64), lps):
+            assert abs(np.max(corners @ d) - value) <= 1e-9 * max(1.0, abs(value))
+        # every vertex of the old 64-direction fan lies in the sweep's set
+        fan_points = PlanarSet(points=tuple(tuple(p) for _, p in lps))
+        assert directed_distance(fan_points, ps) <= 1e-9
+        if kind == "point":
+            assert len(ps.points) == 1 and not (ps.segments or ps.polygons)
+        if kind == "segment":
+            assert seg_endpoints(ps) == [(3.0, -1.5), (3.0, 0.5)]
+
+
+def test_projection_supports_match_highs_on_random_clouds():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = random.Random("cloud highs")
+    angles = np.array([rng.uniform(0, 2 * math.pi) for _ in range(64)])
+    dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+    for kind in CLOUD_KINDS:
+        for _ in range(3):
+            gens, box = random_cloud(rng, kind)
+            ps = _project(gens, [box], 64)
+            for d in dirs:
+                res = linprog(-(gens[:, :2] @ d), **box_lp(gens, box), method="highs")
+                if res.status == 2:
+                    assert ps.is_empty
+                    continue
+                assert res.status == 0
+                got = np.max(set_corners(ps) @ d)
+                assert abs(got + res.fun) <= 1e-9 * max(1.0, abs(res.fun))
+
+
+@pytest.mark.parametrize("mesh", [3, 16, 64])
+def test_pruned_rows_leave_reach_sets_unchanged(mesh):
+    rng = random.Random(f"prune {mesh}")
+    dropped = 0
+    for trial in range(20):
+        kernels = [random_kernel(rng, UNIT, mesh, trial % 2 == 0, max_degree=2)
+                   for _ in range(3)]
+        sys = ImpulseSystem(UNIT.lo, UNIT.hi, F(3, 2), tuple(kernels[:2]))
+        rows = _mesh_generators(sys, ConstraintSpec(tuple(kernels[2:]), (((None, None),),)),
+                                mesh)
+        lo, hi = sorted(rng.uniform(rows[:, 2].min(), rows[:, 2].max()) for _ in range(2))
+        cons = ConstraintSpec(tuple(kernels[2:]), (((lo, hi),),))
+        cfg = ReachConfig.full(mesh, F(1, 100), 16)
+        mask = _collinear_rows(sys, cons, mesh)
+        for k in np.flatnonzero(mask):
+            middle = (rows[k - 1] + rows[k + 1]) / 2
+            assert np.allclose(rows[k], middle, rtol=0, atol=1e-12), (trial, k)
+        dropped += int(mask.sum())
+        boxes = [relax_box(box, cfg.epsilon, None) for box in cons.boxes]
+        pruned = relaxed_reach(sys, cons, cfg)
+        full = _project(rows, boxes, cfg.directions)
+        # hull_piece rounds to 12 digits before taking the hull, so a row on
+        # an edge can land up to 5e-11 off it and survive as a vertex: the
+        # sets agree to rounding, not always byte for byte
+        extent = max(1.0, float(np.max(np.abs(set_corners(full)))))
+        assert hausdorff_distance(pruned, full) <= 1e-9 * extent
+    assert dropped > 0 or mesh == 3

@@ -1,0 +1,25 @@
+"""The shipped commands' output bytes, pinned.
+
+tests/golden holds the --out and --svg files of reach, mp and short-impulse
+on both shipped scenarios.  Any change to a byte fails here; a change that
+is meant to alter them must regenerate the files and say why.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from impulse_reach.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("scenario", ["zigzag", "velocity_pin"])
+@pytest.mark.parametrize("command", ["reach", "mp", "short-impulse"])
+def test_output_bytes_match_golden_files(tmp_path, command, scenario):
+    out, svg = tmp_path / "out.json", tmp_path / "out.svg"
+    assert main([command, "--scenario", str(ROOT / "scenarios" / f"{scenario}.json"),
+                 "--out", str(out), "--svg", str(svg)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{command}_{scenario}.json").read_bytes()
+    assert svg.read_bytes() == (GOLDEN / f"{command}_{scenario}.svg").read_bytes()

@@ -223,6 +223,18 @@ def test_integrate_linear_tail_with_quadrature_oracle():
     assert abs(approx - float(exact)) < 1e-6
 
 
+def test_integrate_float_kernel_is_correctly_rounded():
+    # subtracting float antiderivatives at the ends of a short cell far from
+    # 0 cancels hundreds of ulps; the integral must be rounded only once
+    f = PiecewiseFn.build(["0", "1"], [[0.3, -1.7, 2.1]])
+    exact = PiecewiseFn.build(["0", "1"], [[F(0.3), F(-1.7), F(2.1)]])
+    for j in range(1000, 1024):
+        cell = cell_of((F(j, 1024), F(j + 1, 1024)))
+        value = integrate_eta(f, cell)
+        assert isinstance(value, float)
+        assert value == float(integrate_eta(exact, cell))
+
+
 def test_integrate_ignores_point_values():
     f = PiecewiseFn.build(["0", "1/2", "1"], [[1], [2]], [7, 9, 11])
     assert integrate_eta(f, Cell((UNIT,))) == F(3, 2)

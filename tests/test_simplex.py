@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from impulse_reach.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from impulse_reach.errors import NumericError
+from impulse_reach.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, shadow_vertices, solve_lp
 
 
 def brute_force_min(c, A_eq, b_eq, A_ub, b_ub):
@@ -113,3 +114,57 @@ def test_random_lps_against_vertex_enumeration():
         else:
             assert res.status == OPTIMAL
             assert res.value == pytest.approx(oracle, abs=1e-7)
+
+
+def sweep_points(points, A_ub=None, b_ub=None):
+    """The images of the bases a sweep over the hull of `points` visits."""
+    g = np.asarray(points, float).T
+    visited = shadow_vertices(-g[0], -g[1], np.ones((1, g.shape[1])), [1.0], A_ub, b_ub)
+    return None if visited is None else [tuple(g @ x) for x in visited]
+
+
+def distinct_in_order(points):
+    out = [points[0]]
+    for p in points[1:]:
+        if p != out[-1]:
+            out.append(p)
+    return out
+
+
+def test_sweep_walks_the_vertices_counterclockwise_from_theta_zero():
+    # the walk closes: the vertex optimal at theta = 0 is optimal again at 2 pi
+    diamond = [(0.0, -1.0), (-1.0, 0.0), (0.0, 1.0), (1.0, 0.0)]
+    inner = [(0.0, 0.0), (0.5, 0.5), (-0.25, 0.0), (0.5, 0.5)]
+    assert distinct_in_order(sweep_points(diamond + inner)) == [
+        (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (1.0, 0.0)]
+
+
+def test_sweep_leaves_a_vertex_optimal_only_at_theta_zero_at_once():
+    # the edge x = 1 is optimal at theta = 0; its lower end is optimal there
+    # only, so the walk pivots to the upper end before theta moves
+    square = [(1.0, -1.0), (-1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
+    assert distinct_in_order(sweep_points(square)) == [
+        (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)]
+
+
+def test_sweep_of_a_segment_and_of_a_point():
+    assert set(sweep_points([(0.0, 0.0), (2.0, 1.0), (1.0, 0.5)])) == {(0.0, 0.0), (2.0, 1.0)}
+    assert set(sweep_points([(1.5, -2.0)] * 3)) == {(1.5, -2.0)}
+
+
+def test_sweep_slices_by_inequalities_and_reports_infeasible():
+    # x <= 1/2 cuts the diamond's right corner off
+    diamond = np.array([(0.0, -1.0), (-1.0, 0.0), (0.0, 1.0), (1.0, 0.0)])
+    got = set(sweep_points(diamond, A_ub=diamond[:, :1].T, b_ub=[0.5]))
+    assert got >= {(0.5, 0.5), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (0.5, -0.5)}
+    assert all(x <= 0.5 and abs(x) + abs(y) <= 1.0 for x, y in got)
+    assert sweep_points(diamond, A_ub=-diamond[:, :1].T, b_ub=[-2.0]) is None
+
+
+def test_sweep_raises_on_an_unbounded_set():
+    # x1 = x2 >= 0 is a ray: bounded below for c1 = (1, 1), not for c2 = -c1
+    ray = np.array([[1.0, -1.0]])
+    with pytest.raises(NumericError, match="unbounded"):
+        shadow_vertices([1.0, 1.0], [-1.0, -1.0], ray, [0.0])
+    with pytest.raises(NumericError, match="unbounded"):
+        shadow_vertices([-1.0, -1.0], [1.0, 1.0], ray, [0.0])
