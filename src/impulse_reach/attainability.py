@@ -35,8 +35,8 @@ import numpy as np
 from .dynamics import ConstraintSpec, ImpulseSystem
 from .errors import DomainError, EmptySetError, NumericError, PreconditionError
 from .intervals import Cell, Interval
-from .piecewise import LEFT, MAX_DEGREE, RIGHT, PiecewiseFn, integrate_eta
-from .rational import Number, fmt_rat, num_from_json, num_to_json, rat
+from .piecewise import LEFT, MAX_DEGREE, RIGHT, PiecewiseFn, integrate_eta, poly_eval
+from .rational import Number, fmt_rat, num_to_json
 from .simplex import shadow_vertices
 
 Vec = tuple[Number, ...]
@@ -59,13 +59,7 @@ class Arc:
         return len(self.coeffs)
 
     def at(self, t: Number) -> Vec:
-        out = []
-        for cs in self.coeffs:
-            acc: Number = 0
-            for c in reversed(cs):
-                acc = acc * t + c
-            out.append(acc)
-        return tuple(out)
+        return tuple(poly_eval(cs, t) for cs in self.coeffs)
 
     def to_json(self) -> dict:
         if self.dim != 2:
@@ -73,12 +67,6 @@ class Arc:
         return {"param": [fmt_rat(self.t_lo), fmt_rat(self.t_hi)],
                 "coeffs_x": [num_to_json(c) for c in self.coeffs[0]],
                 "coeffs_y": [num_to_json(c) for c in self.coeffs[1]]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "Arc":
-        return Arc(rat(obj["param"][0]), rat(obj["param"][1]),
-                   (tuple(num_from_json(c) for c in obj["coeffs_x"]),
-                    tuple(num_from_json(c) for c in obj["coeffs_y"])))
 
 
 @dataclass(frozen=True)
@@ -107,20 +95,6 @@ class PlanarSet:
                          for poly in self.polygons],
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "PlanarSet":
-        pts = tuple(tuple(num_from_json(c) for c in p) for p in obj.get("points", []))
-        segs = tuple(tuple(tuple(num_from_json(c) for c in p) for p in seg)
-                     for seg in obj.get("segments", []))
-        arcs = tuple(Arc.from_json(a) for a in obj.get("arcs", []))
-        polys = tuple(tuple(tuple(num_from_json(c) for c in p) for p in poly)
-                      for poly in obj.get("polygons", []))
-        return PlanarSet(pts, segs, arcs, polys)
-
-    @staticmethod
-    def empty() -> "PlanarSet":
-        return PlanarSet()
-
     def merge(self, other: "PlanarSet") -> "PlanarSet":
         return PlanarSet(self.points + other.points,
                          self.segments + other.segments,
@@ -141,21 +115,18 @@ class ReachConfig:
         if not self.epsilon > 0:
             raise DomainError("epsilon must be positive")
 
-    @staticmethod
-    def full(mesh: int, epsilon: Number, directions: int = 360) -> "ReachConfig":
-        return ReachConfig(mesh, epsilon, directions, None)
-
-    @staticmethod
-    def partial(J: frozenset[int] | set[int], mesh: int, epsilon: Number,
-                directions: int = 360) -> "ReachConfig":
-        return ReachConfig(mesh, epsilon, directions, frozenset(J))
-
 
 # -- geometry helpers ----------------------------------------------------------
 
 
 def convex_hull_2d(points: Sequence[Sequence[float]]) -> list[tuple[float, float]]:
-    """Monotone chain; returns counterclockwise vertices, collinear dropped."""
+    """Monotone chain; returns counterclockwise vertices, collinear dropped.
+
+    The chain pops only straight steps and right turns.  One cyclic pass
+    then drops each vertex that lies between its neighbours within the
+    tolerance.  Inside the sorted chain, the tolerance could pop the true
+    end of a near-vertical edge.
+    """
     pts = sorted({(float(p[0]), float(p[1])) for p in points})
     if len(pts) <= 2:
         return pts
@@ -167,15 +138,23 @@ def convex_hull_2d(points: Sequence[Sequence[float]]) -> list[tuple[float, float
 
     lower: list[tuple[float, float]] = []
     for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= eps:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
     upper: list[tuple[float, float]] = []
     for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= eps:
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    return lower[:-1] + upper[:-1]
+    hull = lower[:-1] + upper[:-1]
+    kept: list[tuple[float, float]] = []
+    for i, p in enumerate(hull):
+        o = kept[-1] if kept else hull[-1]
+        b = hull[(i + 1) % len(hull)]
+        between = (p[0] - o[0]) * (b[0] - p[0]) + (p[1] - o[1]) * (b[1] - p[1]) >= 0
+        if not (between and cross(o, p, b) <= eps):
+            kept.append(p)
+    return kept
 
 
 def hull_piece(points: Sequence[Sequence[float]]) -> PlanarSet:
@@ -313,7 +292,7 @@ def _project(gens: np.ndarray,
     if directions < 3:
         raise DomainError("need at least 3 fan directions")
     terminal = gens[:, :2].T
-    result = PlanarSet.empty()
+    result = PlanarSet()
     for box in boxes:
         eq_rows, eq_rhs = [np.ones(gens.shape[0])], [1.0]
         ub_rows: list[np.ndarray] = []
@@ -563,9 +542,8 @@ def coincidence_check(sys: ImpulseSystem, cons: ConstraintSpec,
     universal = universal_mp(sys, cons, t_grid_size, directions)
     entries = []
     for mesh, epsilon in schedule:
-        full = relaxed_reach(sys, cons, ReachConfig.full(mesh, epsilon, directions))
-        partial = relaxed_reach(
-            sys, cons, ReachConfig.partial(cons.J, mesh, epsilon, directions))
+        full = relaxed_reach(sys, cons, ReachConfig(mesh, epsilon, directions))
+        partial = relaxed_reach(sys, cons, ReachConfig(mesh, epsilon, directions, cons.J))
         if full.is_empty or partial.is_empty or universal.is_empty:
             raise NumericError("coincidence check needs nonempty reach sets")
         extent = max(abs(c) for p in _corners(full) for c in p)

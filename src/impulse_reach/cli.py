@@ -348,15 +348,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--seed", type=int, help="random seed of the check battery")
     args = parser.parse_args(argv)
 
-    overrides = {
-        "mesh": args.mesh,
-        "epsilon": None if args.epsilon is None else num_from_json(args.epsilon),
-        "directions": args.directions,
-        "t_grid": args.t_grid,
-        "samples": args.samples,
-        "seed": args.seed,
-    }
     try:
+        overrides = {
+            "mesh": args.mesh,
+            "epsilon": None if args.epsilon is None else num_from_json(args.epsilon),
+            "directions": args.directions,
+            "t_grid": args.t_grid,
+            "samples": args.samples,
+            "seed": args.seed,
+        }
         return run_scenario(args.scenario, args.command, args.out, args.svg,
                             args.measure, overrides)
     except NumericError as exc:

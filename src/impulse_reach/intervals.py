@@ -3,8 +3,8 @@
 An Interval is one of the four endpoint-kind intervals in [t0, theta0]; a
 Cell is a normalized finite disjoint union of intervals; a Partition is a
 finite disjoint cover of the domain by cells.  All endpoints are exact
-rationals, so intersection, complement, the length measure eta and the
-refinement direction are computed without tolerances.
+rationals, so intersection, the length measure eta and the refinement
+direction are computed without tolerances.
 
 Internally every interval is handled as a half-open range of "cuts": a cut
 (t, 0) sits immediately at/below the point t and (t, 1) immediately above
@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DomainError
-from .rational import Number, fmt_rat, rat
+from .rational import Number, rat
 
 Cut = tuple[Fraction, int]
 
@@ -65,21 +65,6 @@ class Interval:
         t = rat(t)
         return self.start_cut <= (t, 0) < self.end_cut
 
-    def __str__(self) -> str:
-        left = "[" if self.lo_closed else "("
-        right = "]" if self.hi_closed else ")"
-        return f"{left}{fmt_rat(self.lo)},{fmt_rat(self.hi)}{right}"
-
-    def to_json(self) -> dict:
-        return {"lo": fmt_rat(self.lo), "hi": fmt_rat(self.hi),
-                "lo_closed": self.lo_closed, "hi_closed": self.hi_closed}
-
-    @staticmethod
-    def from_json(obj: dict) -> "Interval":
-        return Interval.make(obj["lo"], obj["hi"],
-                             bool(obj.get("lo_closed", True)),
-                             bool(obj.get("hi_closed", True)))
-
 
 def _interval_from_cuts(start: Cut, end: Cut) -> Interval:
     return Interval(start[0], end[0], start[1] == 0, end[1] == 1)
@@ -100,7 +85,7 @@ def _merge_ranges(ranges: list[tuple[Cut, Cut]]) -> list[tuple[Cut, Cut]]:
 
 @dataclass(frozen=True)
 class Cell:
-    """Normalized finite disjoint union of intervals; () is the empty set."""
+    """Normalized finite disjoint union of intervals; Cell() is the empty set."""
 
     parts: tuple[Interval, ...] = ()
 
@@ -113,10 +98,6 @@ class Cell:
     def from_intervals(intervals: Iterable[Interval]) -> "Cell":
         ranges = _merge_ranges([(iv.start_cut, iv.end_cut) for iv in intervals])
         return Cell(tuple(_interval_from_cuts(s, e) for s, e in ranges))
-
-    @staticmethod
-    def empty() -> "Cell":
-        return Cell(())
 
     @property
     def is_empty(self) -> bool:
@@ -142,16 +123,6 @@ class Cell:
             out.append(p.hi)
         return out
 
-    def __str__(self) -> str:
-        return "{}" if self.is_empty else "∪".join(str(p) for p in self.parts)
-
-    def to_json(self) -> list:
-        return [p.to_json() for p in self.parts]
-
-    @staticmethod
-    def from_json(obj: Sequence[dict]) -> "Cell":
-        return Cell.from_intervals([Interval.from_json(o) for o in obj])
-
 
 def cell_intersect(a: Cell, b: Cell) -> Cell:
     """Set intersection of two cells (merge scan over cut ranges)."""
@@ -167,25 +138,6 @@ def cell_intersect(a: Cell, b: Cell) -> Cell:
             i += 1
         else:
             j += 1
-    return Cell(tuple(_interval_from_cuts(s, e) for s, e in out))
-
-
-def cell_union(a: Cell, b: Cell) -> Cell:
-    return Cell.from_intervals(a.parts + b.parts)
-
-
-def cell_complement(a: Cell, domain: Interval) -> Cell:
-    """domain \\ a; raises DomainError unless a is contained in the domain."""
-    if not a.within(domain):
-        raise DomainError(f"cell {a} is not contained in domain {domain}")
-    out: list[tuple[Cut, Cut]] = []
-    cursor = domain.start_cut
-    for start, end in a.cut_ranges:
-        if cursor < start:
-            out.append((cursor, start))
-        cursor = max(cursor, end)
-    if cursor < domain.end_cut:
-        out.append((cursor, domain.end_cut))
     return Cell(tuple(_interval_from_cuts(s, e) for s, e in out))
 
 
@@ -217,18 +169,6 @@ class Partition:
                 raise DomainError("partition cells leave a gap in the domain")
         if ranges[0][0] != self.domain.start_cut or ranges[-1][1] != self.domain.end_cut:
             raise DomainError("partition cells do not cover the domain exactly")
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def to_json(self) -> dict:
-        return {"domain": self.domain.to_json(),
-                "cells": [c.to_json() for c in self.cells]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "Partition":
-        return Partition(tuple(Cell.from_json(c) for c in obj["cells"]),
-                         Interval.from_json(obj["domain"]))
 
 
 def is_finer(fine: Partition, coarse: Partition) -> bool:
@@ -268,10 +208,3 @@ def partition_from_cuts(domain: Interval, cuts: Iterable[Number | str]) -> Parti
     cells = [Cell((_interval_from_cuts(s, e),))
              for s, e in zip(bounds, bounds[1:]) if s < e]
     return Partition(tuple(cells), domain)
-
-
-def uniform_partition(domain: Interval, mesh: int) -> Partition:
-    if mesh < 1:
-        raise DomainError("mesh must be >= 1")
-    step = (domain.hi - domain.lo) / mesh
-    return partition_from_cuts(domain, [domain.lo + k * step for k in range(1, mesh)])

@@ -27,7 +27,7 @@ from .piecewise import (
     step_function,
     step_values,
 )
-from .rational import Number, fmt_rat, is_exact, num_from_json, num_to_json, rat
+from .rational import Number, is_exact, num_from_json, rat
 
 
 class Side(enum.Enum):
@@ -48,7 +48,9 @@ class SideAtom:
     @staticmethod
     def make(loc: Number | str, side: Side | str, mass: Number) -> "SideAtom":
         if isinstance(side, str):
-            side = Side(side.upper()[0])
+            side = Side(side.upper()[:1])
+        if not isinstance(side, Side):
+            raise TypeError(f"atom side must be 'L' or 'R', not {side!r}")
         return SideAtom(rat(loc), side, mass)
 
     def captured_by(self, cell: Cell) -> bool:
@@ -63,10 +65,6 @@ class SideAtom:
                 if start <= (t, 1) < end:
                     return True
         return False
-
-    def to_json(self) -> dict:
-        return {"loc": fmt_rat(self.loc), "side": self.side.value,
-                "mass": num_to_json(self.mass)}
 
     @staticmethod
     def from_json(obj: dict) -> "SideAtom":
@@ -126,10 +124,6 @@ class FAMeasure:
     @property
     def is_exact(self) -> bool:
         return self.density.is_exact and all(is_exact(a.mass) for a in self.atoms)
-
-    def to_json(self) -> dict:
-        return {"density": self.density.to_json(),
-                "atoms": [a.to_json() for a in self.atoms]}
 
     @staticmethod
     def from_json(obj: dict) -> "FAMeasure":

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BoundaryError, CapacityError, DomainError
 from .intervals import Cell, Interval
-from .rational import Number, fmt_rat, is_exact, num_from_json, num_to_json, rat
+from .rational import Number, is_exact, num_from_json, rat
 
 MAX_DEGREE = 4
 
@@ -170,13 +170,6 @@ class PiecewiseFn:
             pieces.append(self.pieces[min(i, len(self.pieces) - 1)])
         return PiecewiseFn(tuple(new), tuple(pieces), tuple(values))
 
-    def to_json(self) -> dict:
-        return {
-            "breakpoints": [fmt_rat(b) for b in self.breakpoints],
-            "pieces": [[num_to_json(c) for c in coeffs] for coeffs in self.pieces],
-            "point_values": [num_to_json(v) for v in self.point_values],
-        }
-
     @staticmethod
     def from_json(obj: dict) -> "PiecewiseFn":
         return PiecewiseFn.build(
@@ -246,14 +239,11 @@ def step_function(domain: Interval, cell_values: Sequence[tuple[Cell, Number]],
     return PiecewiseFn(tuple(bps), pieces, values)
 
 
-def fn_equal(f: PiecewiseFn, g: PiecewiseFn, tol: float = 0.0) -> bool:
-    """Pointwise equality (exact by default) after breakpoint refinement."""
+def fn_equal(f: PiecewiseFn, g: PiecewiseFn) -> bool:
+    """Exact pointwise equality after breakpoint refinement."""
     rf, rg = _common(f, g)
-    for a, b in zip(rf.pieces, rg.pieces):
-        diff = poly_add(a, b, 1, -1)
-        if any(abs(c) > tol for c in diff):
-            return False
-    return all(abs(a - b) <= tol for a, b in zip(rf.point_values, rg.point_values))
+    return (rf.point_values == rg.point_values
+            and all(poly_add(a, b, 1, -1) == (0,) for a, b in zip(rf.pieces, rg.pieces)))
 
 
 def sup_norm(f: PiecewiseFn) -> Number:

@@ -191,7 +191,7 @@ def test_criterion_6_reach_convergence():
         sys, _ = build_double_integrator(c, 1, 1, 1)
         cons = ConstraintSpec.unconstrained()
 
-        ps4 = relaxed_reach(sys, cons, ReachConfig.full(4, 0.01, 360))
+        ps4 = relaxed_reach(sys, cons, ReachConfig(4, 0.01, 360))
         assert len(ps4.segments) == 1
         seg = sorted(ps4.segments[0])
         assert [Fraction(coord) for coord in seg[0]] == [F(1, 8), 1]
@@ -200,7 +200,7 @@ def test_criterion_6_reach_convergence():
         limit = PlanarSet(segments=(((0.0, 1.0), (1.0, 1.0)),))
         prev = float("inf")
         for mesh in (4, 16, 64, 256):
-            ps = relaxed_reach(sys, cons, ReachConfig.full(mesh, 0.01, 360))
+            ps = relaxed_reach(sys, cons, ReachConfig(mesh, 0.01, 360))
             d = hausdorff_distance(ps, limit)
             assert d <= 1.0 / mesh + 1e-9
             assert d <= prev + 1e-12

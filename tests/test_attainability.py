@@ -31,7 +31,7 @@ from impulse_reach.attainability import (
 from impulse_reach.cli import load_scenario
 from impulse_reach.dynamics import ConstraintSpec, ImpulseSystem, build_double_integrator
 from impulse_reach.errors import DomainError, EmptySetError, PreconditionError
-from impulse_reach.intervals import Interval, eta, uniform_partition
+from impulse_reach.intervals import Interval, eta, partition_from_cuts
 from impulse_reach.piecewise import LEFT, MAX_DEGREE, RIGHT, PiecewiseFn, integrate_eta
 from impulse_reach.rational import num_from_json
 from impulse_reach.simplex import INFEASIBLE, OPTIMAL, solve_lp
@@ -74,6 +74,14 @@ def test_convex_hull_ccw_square():
     assert hull == [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
 
+def test_hull_keeps_both_ends_of_a_near_vertical_edge():
+    # rounding to 12 digits sends the middle point 1e-10 right of the edge
+    # from (10, 0) to (10, 1); the hull must keep (10, 1), the true vertex
+    ps = hull_piece([(10.000000000049998, 0), (10.000000000050002, 0.5),
+                     (10.000000000049998, 1), (0, 0.5)])
+    assert ps.polygons == (((0.0, 0.5), (10.0, 0.0), (10.0, 1.0)),)
+
+
 def test_hull_piece_degenerate_to_segment():
     ps = hull_piece([(0.125, 1.0), (0.375, 1.0), (0.875, 1.0)])
     assert seg_endpoints(ps) == [(0.125, 1.0), (0.875, 1.0)]
@@ -102,7 +110,7 @@ def test_hausdorff_segment_to_point_sup_norm():
 
 def test_hausdorff_empty_rejected():
     with pytest.raises(EmptySetError):
-        hausdorff_distance(PlanarSet.empty(), PlanarSet(points=((0.0, 0.0),)))
+        hausdorff_distance(PlanarSet(), PlanarSet(points=((0.0, 0.0),)))
 
 
 def square(lo, hi):
@@ -154,7 +162,7 @@ def test_points_against_union_exact_min_max():
 
 def test_reach_unconstrained_mesh4_exact_segment():
     sys, cons = unconstrained_sys()
-    ps = relaxed_reach(sys, cons, ReachConfig.full(4, 0.01, 64))
+    ps = relaxed_reach(sys, cons, ReachConfig(4, 0.01, 64))
     # hand LP: all mass on the first/last mesh cell
     assert seg_endpoints(ps) == [(0.125, 1.0), (0.875, 1.0)]
 
@@ -163,14 +171,14 @@ def test_reach_inactive_constraints_match_unconstrained():
     sys, (s1, s2) = build_double_integrator(const_one(), 1, 1, 1)
     wide = ConstraintSpec((s1, s2), (((None, None), (None, None)),), frozenset())
     free = relaxed_reach(sys, ConstraintSpec.unconstrained(),
-                         ReachConfig.full(8, 0.01, 64))
-    constrained = relaxed_reach(sys, wide, ReachConfig.full(8, 0.01, 64))
+                         ReachConfig(8, 0.01, 64))
+    constrained = relaxed_reach(sys, wide, ReachConfig(8, 0.01, 64))
     assert free == constrained
 
 
 def test_reach_partial_forces_mass_off_prefix():
     sys, cons = velocity_constrained_sys()
-    ps = relaxed_reach(sys, cons, ReachConfig.partial({1}, 256, 0.002, 64))
+    ps = relaxed_reach(sys, cons, ReachConfig(256, 0.002, 64, frozenset({1})))
     limit = PlanarSet(segments=(((0.0, 1.0), (0.5, 1.0)),))
     assert hausdorff_distance(ps, limit) <= 0.01
 
@@ -178,21 +186,21 @@ def test_reach_partial_forces_mass_off_prefix():
 def test_reach_infeasible_box_gives_empty_set():
     sys, (_, s2) = build_double_integrator(const_one(), 1, 1, 1)
     cons = ConstraintSpec((s2,), (((10, 11),),), frozenset())  # velocity is 1
-    ps = relaxed_reach(sys, cons, ReachConfig.full(8, 0.01, 16))
+    ps = relaxed_reach(sys, cons, ReachConfig(8, 0.01, 16))
     assert ps.is_empty
 
 
 def test_reach_monotone_in_epsilon():
     sys, cons = velocity_constrained_sys()
-    small = relaxed_reach(sys, cons, ReachConfig.full(64, 0.001, 90))
-    large = relaxed_reach(sys, cons, ReachConfig.full(64, 0.01, 90))
+    small = relaxed_reach(sys, cons, ReachConfig(64, 0.001, 90))
+    large = relaxed_reach(sys, cons, ReachConfig(64, 0.01, 90))
     assert directed_distance(small, large) <= 1e-9
 
 
 def test_reach_partial_inside_full():
     sys, cons = velocity_constrained_sys()
-    full = relaxed_reach(sys, cons, ReachConfig.full(64, 0.01, 90))
-    partial = relaxed_reach(sys, cons, ReachConfig.partial({1}, 64, 0.01, 90))
+    full = relaxed_reach(sys, cons, ReachConfig(64, 0.01, 90))
+    partial = relaxed_reach(sys, cons, ReachConfig(64, 0.01, 90, frozenset({1})))
     assert directed_distance(partial, full) <= 1e-9
 
 
@@ -200,7 +208,7 @@ def test_reach_partial_requires_step_kernels():
     sys, (s1, _) = build_double_integrator(const_one(), "1/2", 1, 1)
     cons = ConstraintSpec((s1,), (((0, 0),),), frozenset())
     with pytest.raises(PreconditionError):
-        relaxed_reach(sys, cons, ReachConfig.partial({1}, 8, 0.01, 16))
+        relaxed_reach(sys, cons, ReachConfig(8, 0.01, 16, frozenset({1})))
 
 
 # -- universal_mp ----------------------------------------------------------------
@@ -272,14 +280,14 @@ def test_universal_rejects_constraint_kernel_on_other_domain():
     with pytest.raises(DomainError, match="constraint kernel domain mismatch"):
         universal_mp(sys, cons, 17, 16)
     with pytest.raises(DomainError, match="constraint kernel domain mismatch"):
-        relaxed_reach(sys, cons, ReachConfig.full(8, 0.01, 16))
+        relaxed_reach(sys, cons, ReachConfig(8, 0.01, 16))
 
 
 def test_set_functions_reject_non_planar_systems():
     sys = ImpulseSystem(F(0), F(1), 1, (const_one(),) * 3)
     cons = ConstraintSpec.unconstrained()
     with pytest.raises(DomainError, match="planar"):
-        relaxed_reach(sys, cons, ReachConfig.full(8, 0.01, 16))
+        relaxed_reach(sys, cons, ReachConfig(8, 0.01, 16))
     with pytest.raises(DomainError, match="planar"):
         universal_mp(sys, cons, 17, 16)
     with pytest.raises(DomainError, match="planar"):
@@ -335,7 +343,7 @@ def test_short_impulse_numeric_mode_floats():
     assert sorted(ps.points) == [(0.0, -1.0), (1.0, 1.0)]
     assert sorted(ps.segments[0]) == [(-0.5, -1.0), (0.5, 1.0)]
     reach = relaxed_reach(sys, ConstraintSpec.unconstrained(),
-                          ReachConfig.full(16, 0.01, 64))
+                          ReachConfig(16, 0.01, 64))
     assert len(reach.polygons) == 1
 
 
@@ -358,13 +366,6 @@ def test_short_impulse_scales_with_b():
                                          for p in sorted(one.segments[0])]
     for a1, a3 in zip(one.arcs, three.arcs):
         assert a3.coeffs == tuple(tuple(3 * c for c in cs) for cs in a1.coeffs)
-
-
-def test_short_impulse_json_roundtrip():
-    sys, _ = build_double_integrator(zigzag(), 1, 1, 1)
-    ps = short_impulse_mp(sys)
-    back = PlanarSet.from_json(ps.to_json())
-    assert back == ps
 
 
 def assert_convex_ccw(poly):
@@ -391,7 +392,7 @@ def test_reach_zigzag_polygon_converges_to_universal():
     mp = universal_mp(sys, cons, t_grid_size=65, directions=90)
     prev = math.inf
     for mesh in (8, 32, 128):
-        ps = relaxed_reach(sys, cons, ReachConfig.full(mesh, 0.01, 90))
+        ps = relaxed_reach(sys, cons, ReachConfig(mesh, 0.01, 90))
         assert len(ps.polygons) == 1
         assert_convex_ccw(ps.polygons[0])
         d = hausdorff_distance(ps, mp)
@@ -407,7 +408,7 @@ def test_reach_converges_to_universal_segment():
     limit = PlanarSet(segments=(((0.0, 1.0), (1.0, 1.0)),))
     last = math.inf
     for mesh in (4, 16, 64):
-        ps = relaxed_reach(sys, cons, ReachConfig.full(mesh, 0.01, 90))
+        ps = relaxed_reach(sys, cons, ReachConfig(mesh, 0.01, 90))
         d = hausdorff_distance(ps, limit)
         assert d <= 1.0 / mesh + 1e-9
         assert d <= last + 1e-12
@@ -417,16 +418,16 @@ def test_reach_converges_to_universal_segment():
 def test_coincidence_identical_for_empty_J():
     sys, (s1, s2) = build_double_integrator(const_one(), 1, "1/2", 1)
     cons = ConstraintSpec((s2,), (((0, 1),),), frozenset())
-    full = relaxed_reach(sys, cons, ReachConfig.full(32, 0.01, 45))
+    full = relaxed_reach(sys, cons, ReachConfig(32, 0.01, 45))
     partial = relaxed_reach(sys, cons,
-                            ReachConfig.partial(frozenset(), 32, 0.01, 45))
+                            ReachConfig(32, 0.01, 45, frozenset()))
     assert full == partial
 
 
 def test_coincidence_all_step_J_is_exact_constraint():
     sys, cons = velocity_constrained_sys()
-    a = relaxed_reach(sys, cons, ReachConfig.partial({1}, 64, 0.05, 45))
-    b = relaxed_reach(sys, cons, ReachConfig.partial({1}, 64, 0.0001, 45))
+    a = relaxed_reach(sys, cons, ReachConfig(64, 0.05, 45, frozenset({1})))
+    b = relaxed_reach(sys, cons, ReachConfig(64, 0.0001, 45, frozenset({1})))
     assert a == b  # epsilon never touches the J coordinate
 
 
@@ -442,7 +443,7 @@ def test_universal_matches_relaxation_limit_on_box_target():
     assert len(mp.polygons) == 1
     prev = math.inf
     for mesh, eps in [(32, 0.05), (128, 0.01), (512, 0.002)]:
-        ps = relaxed_reach(sys, cons, ReachConfig.full(mesh, eps, 180))
+        ps = relaxed_reach(sys, cons, ReachConfig(mesh, eps, 180))
         d = hausdorff_distance(ps, mp)
         assert d <= 3 * eps
         assert d <= prev + 1e-12
@@ -465,8 +466,9 @@ def test_coincidence_report_converges():
 def reference_mesh_rows(sys, cons, mesh):
     """The per-cell loop the vectorized rows replaced: exact integral, then float."""
     b = float(sys.b)
+    step = (sys.theta0 - sys.t0) / mesh
     rows = []
-    for cell in uniform_partition(sys.domain, mesh).cells:
+    for cell in partition_from_cuts(sys.domain, [sys.t0 + k * step for k in range(1, mesh)]).cells:
         length = float(eta(cell))
         rows.append([b * float(integrate_eta(k, cell)) / length for k in sys.pi + cons.s])
     return np.asarray(rows)
@@ -718,7 +720,7 @@ def test_pruned_rows_leave_reach_sets_unchanged(mesh):
                                 mesh)
         lo, hi = sorted(rng.uniform(rows[:, 2].min(), rows[:, 2].max()) for _ in range(2))
         cons = ConstraintSpec(tuple(kernels[2:]), (((lo, hi),),))
-        cfg = ReachConfig.full(mesh, F(1, 100), 16)
+        cfg = ReachConfig(mesh, F(1, 100), 16)
         mask = _collinear_rows(sys, cons, mesh)
         for k in np.flatnonzero(mask):
             middle = (rows[k - 1] + rows[k + 1]) / 2

@@ -75,6 +75,11 @@ def test_reach_epsilon_override_changes_full_relaxation(tmp_path):
     assert seg_w[1][0] > seg_n[1][0]
 
 
+def test_unparsable_epsilon_exits_2(tmp_path):
+    path = reach_scenario(tmp_path)
+    assert main(["reach", "--scenario", str(path), "--epsilon", "abc"]) == 2
+
+
 def test_reach_mesh_override(tmp_path):
     path = reach_scenario(tmp_path, mesh=4)
     out = tmp_path / "reach.json"
@@ -131,6 +136,18 @@ def test_traj_command(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("side", ["", None, 1])
+def test_traj_atom_with_bad_side_exits_2(tmp_path, side):
+    path = write_scenario(tmp_path, c=CONST_C)
+    measure = tmp_path / "measure.json"
+    measure.write_text(dump_json({
+        "density": {"breakpoints": ["0", "1"], "pieces": [[0]],
+                    "point_values": [0, 0]},
+        "atoms": [{"loc": "1/2", "side": side, "mass": 1}],
+    }))
+    assert main(["traj", "--scenario", str(path), "--measure", str(measure)]) == 2
+
+
 def test_traj_requires_measure(tmp_path):
     path = write_scenario(tmp_path, c=CONST_C)
     assert main(["traj", "--scenario", str(path)]) == 2
@@ -162,7 +179,7 @@ def test_determinism_byte_identical(tmp_path):
 
 def test_render_svg_empty_and_segment(tmp_path):
     empty_path = tmp_path / "empty.svg"
-    render_svg(PlanarSet.empty(), empty_path)
+    render_svg(PlanarSet(), empty_path)
     text = empty_path.read_text()
     assert "<svg" in text and "polyline" not in text and "circle" not in text
 

@@ -7,14 +7,11 @@ from impulse_reach.intervals import (
     Cell,
     Interval,
     Partition,
-    cell_complement,
     cell_intersect,
-    cell_union,
     common_refinement,
     eta,
     is_finer,
     partition_from_cuts,
-    uniform_partition,
 )
 
 from conftest import UNIT, membership_samples, rand_cell, rand_interval, rand_partition
@@ -68,7 +65,7 @@ def test_intersect_halfopen_with_closed():
 def test_intersect_with_empty_is_absorbing(rng):
     for _ in range(20):
         x = rand_cell(rng)
-        assert cell_intersect(x, Cell.empty()) == Cell.empty()
+        assert cell_intersect(x, Cell()) == Cell()
 
 
 def test_intersect_two_part_cell_against_interval():
@@ -89,27 +86,6 @@ def test_intersect_matches_membership_oracle(rng):
             assert got.contains(t) == (a.contains(t) and b.contains(t))
 
 
-# -- cell_complement ----------------------------------------------------------
-
-def test_complement_basic():
-    dom = UNIT
-    assert cell_complement(cell_of((0, "1/2", True, False)), dom) == cell_of(("1/2", 1))
-    assert cell_complement(Cell.empty(), dom) == cell_of((0, 1))
-
-
-def test_complement_point_and_tail():
-    a = cell_of("1/3", ("2/3", 1, False, True))
-    got = cell_complement(a, UNIT)
-    assert got == cell_of((0, "1/3", True, False), ("1/3", "2/3", False, True))
-    for t in membership_samples(UNIT, a, got):
-        assert got.contains(t) == (UNIT.contains(t) and not a.contains(t))
-
-
-def test_complement_requires_containment():
-    with pytest.raises(DomainError):
-        cell_complement(cell_of((0, 2)), UNIT)
-
-
 def test_within_matches_intersection(rng):
     # reference: a lies in the domain iff intersecting with it changes nothing
     for _ in range(300):
@@ -119,15 +95,7 @@ def test_within_matches_intersection(rng):
     half_open = Interval.make(0, 1, True, False)
     assert cell_of((0, "1/2", True, False)).within(half_open)
     assert not cell_of((0, "1/2"), 1).within(half_open)
-    assert Cell.empty().within(half_open)
-
-
-def test_complement_union_restores_domain(rng):
-    for _ in range(100):
-        a = rand_cell(rng)
-        comp = cell_complement(a, UNIT)
-        assert cell_union(a, comp) == Cell((UNIT,))
-        assert cell_intersect(a, comp) == Cell.empty()
+    assert Cell().within(half_open)
 
 
 # -- eta ----------------------------------------------------------------------
@@ -141,7 +109,8 @@ def test_eta_examples():
 def test_eta_modularity(rng):
     for _ in range(100):
         a, b = rand_cell(rng), rand_cell(rng)
-        assert eta(a) + eta(b) == eta(cell_union(a, b)) + eta(cell_intersect(a, b))
+        union = Cell.from_intervals(a.parts + b.parts)
+        assert eta(a) + eta(b) == eta(union) + eta(cell_intersect(a, b))
 
 
 def test_eta_additive_over_partitions(rng):
@@ -187,7 +156,7 @@ def test_common_refinement_bounds_both(rng):
     for _ in range(80):
         a, b = rand_partition(rng), rand_partition(rng)
         r = common_refinement(a, b)
-        assert len(r) <= len(a) * len(b)
+        assert len(r.cells) <= len(a.cells) * len(b.cells)
         assert is_finer(r, a) and is_finer(r, b)
 
 
@@ -199,14 +168,3 @@ def test_refinement_transitive(rng):
         assert is_finer(p2, p1) and is_finer(p3, p2)
         assert is_finer(p3, p1)
 
-
-def test_uniform_partition():
-    p = uniform_partition(UNIT, 4)
-    assert len(p) == 4
-    assert p.cells[0] == cell_of((0, "1/4", True, False))
-    assert p.cells[-1] == cell_of(("3/4", 1))
-
-
-def test_partition_json_roundtrip(rng):
-    p = rand_partition(rng)
-    assert Partition.from_json(p.to_json()) == p
