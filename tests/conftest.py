@@ -13,6 +13,7 @@ import pytest
 from impulse_reach.intervals import Cell, Interval, Partition, partition_from_cuts
 from impulse_reach.measures import FAMeasure, Side, SideAtom, indefinite
 from impulse_reach.piecewise import PiecewiseFn, step_function
+from impulse_reach.rational import fmt_rat, num_to_json
 
 UNIT = Interval.make(0, 1)
 
@@ -103,6 +104,20 @@ def rand_measure(rng: random.Random, domain: Interval = UNIT, exact: bool = True
             mass = rng.uniform(0 if nonneg else -1.5, 1.5)
         atoms.append(SideAtom(loc, side, mass))
     return FAMeasure(mu.density, FAMeasure.sort_atoms(atoms))
+
+
+def piecewise_json(f: PiecewiseFn) -> dict:
+    """f in the file format that PiecewiseFn.from_json reads (scenario kernels)."""
+    return {"breakpoints": [fmt_rat(b) for b in f.breakpoints],
+            "pieces": [[num_to_json(c) for c in coeffs] for coeffs in f.pieces],
+            "point_values": [num_to_json(v) for v in f.point_values]}
+
+
+def measure_json(mu: FAMeasure) -> dict:
+    """mu in the file format that FAMeasure.from_json reads (traj --measure)."""
+    return {"density": piecewise_json(mu.density),
+            "atoms": [{"loc": fmt_rat(a.loc), "side": a.side.value,
+                       "mass": num_to_json(a.mass)} for a in mu.atoms]}
 
 
 def membership_samples(domain: Interval, *cells: Cell) -> list[Fraction]:

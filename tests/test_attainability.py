@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -33,7 +34,7 @@ from impulse_reach.dynamics import ConstraintSpec, ImpulseSystem, build_double_i
 from impulse_reach.errors import DomainError, EmptySetError, PreconditionError
 from impulse_reach.intervals import Interval, eta, partition_from_cuts
 from impulse_reach.piecewise import LEFT, MAX_DEGREE, RIGHT, PiecewiseFn, integrate_eta
-from impulse_reach.rational import num_from_json
+from impulse_reach.rational import fmt_rat, num_from_json
 from impulse_reach.simplex import INFEASIBLE, OPTIMAL, solve_lp
 
 F = Fraction
@@ -368,6 +369,33 @@ def test_short_impulse_scales_with_b():
         assert a3.coeffs == tuple(tuple(3 * c for c in cs) for cs in a1.coeffs)
 
 
+def test_short_impulse_json_roundtrip():
+    # the written set reads back exactly: rationals stay "p/q" strings
+    sys, _ = build_double_integrator(zigzag(), 1, 1, 1)
+    ps = short_impulse_mp(sys)
+    obj = json.loads(json.dumps(ps.to_json()))
+
+    def vec(p):
+        return tuple(num_from_json(c) for c in p)
+
+    back = PlanarSet(
+        tuple(vec(p) for p in obj["points"]),
+        tuple(tuple(vec(p) for p in seg) for seg in obj["segments"]),
+        tuple(Arc(F(a["param"][0]), F(a["param"][1]),
+                  (vec(a["coeffs_x"]), vec(a["coeffs_y"]))) for a in obj["arcs"]),
+        tuple(tuple(vec(p) for p in poly) for poly in obj["polygons"]))
+    assert back == ps
+
+
+def test_arc_at_is_exact_on_rational_coefficients():
+    sys, _ = build_double_integrator(zigzag(), 1, 1, 1)
+    first, second = short_impulse_mp(sys).arcs
+    # x = 1 - t, y = 1 on [0, 1/2]; x = -1 + t, y = -1 on [1/2, 1]
+    assert first.at(F(1, 3)) == (F(2, 3), 1)
+    assert second.at(F(5, 7)) == (-F(2, 7), -1)
+    assert all(type(c) is not float for c in first.at(F(1, 3)) + second.at(F(5, 7)))
+
+
 def assert_convex_ccw(poly):
     n = len(poly)
     assert n >= 3
@@ -544,6 +572,10 @@ def assert_rows_close(rows, ref, sys, cons):
 DOMAINS = [UNIT, Interval.make("1/3", "7/5")]
 
 
+def domain_id(domain: Interval) -> str:
+    return f"[{fmt_rat(domain.lo)},{fmt_rat(domain.hi)}]"
+
+
 def test_quadrature_rule_is_exact_for_every_allowed_degree():
     nodes, weights = np.polynomial.legendre.leggauss(MAX_DEGREE // 2 + 1)
     assert np.allclose(_GL_NODES, nodes, rtol=0, atol=1e-15)
@@ -552,7 +584,7 @@ def test_quadrature_rule_is_exact_for_every_allowed_degree():
 
 @pytest.mark.parametrize("mesh,trials", [(1, 30), (7, 30), (1024, 1)])
 @pytest.mark.parametrize("exact", [True, False])
-@pytest.mark.parametrize("domain", DOMAINS, ids=str)
+@pytest.mark.parametrize("domain", DOMAINS, ids=domain_id)
 def test_mesh_rows_match_exact_cell_averages(domain, exact, mesh, trials):
     rng = random.Random(f"{domain} {exact} {mesh}")
     for _ in range(trials):
@@ -563,7 +595,7 @@ def test_mesh_rows_match_exact_cell_averages(domain, exact, mesh, trials):
 
 @pytest.mark.parametrize("t_grid_size", [2, 9, 65])
 @pytest.mark.parametrize("exact", [True, False])
-@pytest.mark.parametrize("domain", DOMAINS, ids=str)
+@pytest.mark.parametrize("domain", DOMAINS, ids=domain_id)
 def test_curve_rows_match_exact_side_limits(domain, exact, t_grid_size):
     rng = random.Random(f"{domain} {exact} {t_grid_size}")
     for _ in range(20):

@@ -168,3 +168,11 @@ def test_refinement_transitive(rng):
         assert is_finer(p2, p1) and is_finer(p3, p2)
         assert is_finer(p3, p1)
 
+
+def test_uniform_partition():
+    # the mesh-cell split that reach uses: half-open cells, the last closed
+    p = partition_from_cuts(UNIT, ["1/4", "1/2", "3/4"])
+    assert len(p.cells) == 4
+    assert p.cells[0] == cell_of((0, "1/4", True, False))
+    assert p.cells[-1] == cell_of(("3/4", 1))
+    assert {eta(c) for c in p.cells} == {Fraction(1, 4)}

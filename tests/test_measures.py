@@ -26,6 +26,7 @@ from impulse_reach.measures import (
 )
 from impulse_reach.piecewise import (
     PiecewiseFn,
+    fn_equal,
     indicator,
     integrate_eta,
     lin_comb,
@@ -35,6 +36,7 @@ from impulse_reach.piecewise import (
 
 from conftest import (
     UNIT,
+    measure_json,
     rand_cell,
     rand_cuts,
     rand_measure,
@@ -308,3 +310,20 @@ def test_averaging_reproduces_step_integrals(rng):
         partition = partition_from_cuts(UNIT, cuts)
         theta = averaging(mu, partition)
         assert integrate_eta(multiply(h, theta), Cell((UNIT,))) == integral(h, mu)
+
+
+def test_measure_json_roundtrip(rng):
+    mu = rand_measure(rng)
+    back = FAMeasure.from_json(measure_json(mu))
+    assert back.atoms == mu.atoms
+    assert fn_equal(back.density, mu.density)
+
+
+def test_side_atom_rejects_a_side_that_is_not_l_or_r():
+    assert SideAtom.make("1/2", "right", 1).side is Side.RIGHT
+    for side in ("", "x"):
+        with pytest.raises(ValueError):
+            SideAtom.make("1/2", side, 1)
+    for side in (None, 1):
+        with pytest.raises(TypeError):
+            SideAtom.make("1/2", side, 1)

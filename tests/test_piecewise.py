@@ -17,7 +17,14 @@ from impulse_reach.piecewise import (
     sup_norm,
 )
 
-from conftest import UNIT, membership_samples, rand_cell, rand_partition, rand_step
+from conftest import (
+    UNIT,
+    membership_samples,
+    piecewise_json,
+    rand_cell,
+    rand_partition,
+    rand_step,
+)
 
 F = Fraction
 
@@ -250,3 +257,18 @@ def test_integrate_linear_in_f_and_additive_in_cell(rng):
         chosen = [c for c in rand_partition(rng).cells if rng.random() < 0.5]
         union = Cell.from_intervals([part for c in chosen for part in c.parts])
         assert integrate_eta(f, union) == sum((integrate_eta(f, c) for c in chosen), F(0))
+
+
+def test_json_roundtrip(rng):
+    f = rand_step(rng)
+    assert fn_equal(PiecewiseFn.from_json(piecewise_json(f)), f)
+    p = multiply(one_minus_t(), zigzag())
+    assert fn_equal(PiecewiseFn.from_json(piecewise_json(p)), p)
+
+
+def test_fn_equal_is_exact():
+    f = zigzag()
+    nudged = lin_comb(1, f, 1, PiecewiseFn.constant(UNIT, F(1, 10**30)))
+    assert fn_equal(f, f) and not fn_equal(f, nudged)
+    moved = PiecewiseFn.build(["0", "1/2", "1"], [[1], [-1]], [1, 1, -1])
+    assert not fn_equal(f, moved)  # differs only in the value at t = 1/2
