@@ -31,37 +31,47 @@ from .measures import (
 from .piecewise import (
     PiecewiseFn,
     integrate_eta,
-    multiply,
+    integrate_product,
     scale,
-    step_function,
     sup_norm,
 )
 
 CheckRow = tuple[str, bool, str]
 
 
-def _rand_rat(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
+def _rand_rat(rng: random.Random, lo: Fraction, span: Fraction) -> Fraction:
+    """lo + (k/den)·span for a random den in 2..16 and a random k in [0, den].
+
+    Built as one Fraction, so it is normalized once.
+    """
     den = rng.choice((2, 3, 4, 6, 8, 16))
-    return lo + Fraction(rng.randint(0, den), den) * (hi - lo)
+    k = rng.randint(0, den)
+    return Fraction(lo.numerator * span.denominator * den + k * span.numerator * lo.denominator,
+                    lo.denominator * span.denominator * den)
 
 
 def _rand_cuts(rng: random.Random, dom: Interval, count: int) -> list[Fraction]:
-    return sorted({_rand_rat(rng, dom.lo, dom.hi) for _ in range(count)}
+    span = dom.length
+    return sorted({_rand_rat(rng, dom.lo, span) for _ in range(count)}
                   - {dom.lo, dom.hi})
 
 
 def _rand_step(rng: random.Random, dom: Interval, nonneg: bool) -> PiecewiseFn:
-    cells = partition_from_cuts(dom, _rand_cuts(rng, dom, 4)).cells
+    """A random value on each cell [t_i, t_{i+1}) of random cuts, the last cell closed.
+
+    This is step_function over partition_from_cuts' cells, built directly.
+    """
+    bps = (dom.lo, *_rand_cuts(rng, dom, 4), dom.hi)
     values = [Fraction(rng.randint(0 if nonneg else -6, 6), rng.choice((1, 2)))
-              for _ in cells]
-    return step_function(dom, list(zip(cells, values)))
+              for _ in bps[1:]]
+    return PiecewiseFn(bps, tuple((v,) for v in values), (*values, values[-1]))
 
 
 def _rand_measure(rng: random.Random, dom: Interval, nonneg: bool) -> FAMeasure:
     atoms = []
     seen = set()
     for _ in range(rng.randint(0, 2)):
-        loc = _rand_rat(rng, dom.lo, dom.hi)
+        loc = _rand_rat(rng, dom.lo, dom.length)
         side = rng.choice((Side.LEFT, Side.RIGHT))
         if (side is Side.LEFT and loc <= dom.lo) or \
            (side is Side.RIGHT and loc >= dom.hi) or (loc, side) in seen:
@@ -150,7 +160,7 @@ def run_battery(sys: ImpulseSystem, cons: ConstraintSpec,
         partition = partition_from_cuts(dom, cuts | set(_rand_cuts(rng, dom, 2)))
         theta = averaging(mu, partition)
         tried += 1
-        if integrate_eta(multiply(h, theta), Cell((dom,))) != integral(h, mu):
+        if integrate_product(h, theta, Cell((dom,))) != integral(h, mu):
             ok = False
             break
     rows.append(("averaging-exactness", ok, f"{tried} (mu, h) pairs"))
@@ -158,7 +168,7 @@ def run_battery(sys: ImpulseSystem, cons: ConstraintSpec,
     ok, tried = True, 0
     for _ in range(50):
         mu = _rand_measure(rng, dom, nonneg=False)
-        pts = {_rand_rat(rng, dom.lo, dom.hi) for _ in range(3)}
+        pts = {_rand_rat(rng, dom.lo, dom.length) for _ in range(3)}
         null = Cell.from_intervals([Interval(t, t) for t in pts])
         tried += 1
         if eval_cell(mu, null) != 0:

@@ -20,6 +20,7 @@ from .piecewise import (
     PiecewiseFn,
     indicator,
     integrate_eta,
+    integrate_product,
     multiply,
     step_values,
 )
@@ -152,8 +153,8 @@ def moments(f: PiecewiseFn, sys: ImpulseSystem,
         if kernel.domain != sys.domain:
             raise DomainError("constraint kernel domain mismatch")
     full = Cell((sys.domain,))
-    term = tuple(integrate_eta(multiply(k, f), full) for k in sys.pi)
-    constr = tuple(integrate_eta(multiply(k, f), full) for k in cons.s)
+    term = tuple(integrate_product(k, f, full) for k in sys.pi)
+    constr = tuple(integrate_product(k, f, full) for k in cons.s)
     return term, constr
 
 

@@ -14,6 +14,7 @@ Set operations then reduce to merge scans over sorted cut ranges.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -34,10 +35,11 @@ class Interval:
     def __post_init__(self) -> None:
         if not isinstance(self.lo, Fraction) or not isinstance(self.hi, Fraction):
             raise TypeError("interval endpoints must be Fractions; use Interval.make")
-        if self.lo > self.hi:
-            raise DomainError(f"empty interval: lo={self.lo} > hi={self.hi}")
-        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
-            raise DomainError("a singleton interval must be closed on both sides")
+        if not self.lo < self.hi:
+            if self.lo > self.hi:
+                raise DomainError(f"empty interval: lo={self.lo} > hi={self.hi}")
+            if not (self.lo_closed and self.hi_closed):
+                raise DomainError("a singleton interval must be closed on both sides")
 
     @staticmethod
     def make(lo: Number | str, hi: Number | str,
@@ -171,27 +173,55 @@ class Partition:
             raise DomainError("partition cells do not cover the domain exactly")
 
 
+def _indexed_ranges(p: Partition) -> list[tuple[Cut, Cut, int]]:
+    """Every cut range of the partition with its cell index, sorted by start."""
+    return sorted(((start, end, k) for k, cell in enumerate(p.cells)
+                   for start, end in cell.cut_ranges), key=lambda r: r[0])
+
+
 def is_finer(fine: Partition, coarse: Partition) -> bool:
-    """True iff every cell of `fine` lies inside some cell of `coarse`."""
+    """True iff every cell of `fine` lies inside some cell of `coarse`.
+
+    The coarse ranges tile the domain and a cell's own ranges never touch,
+    so a fine part lies in a coarse cell iff it lies in the one range that
+    holds its start.
+    """
     if fine.domain != coarse.domain:
         raise DomainError("partitions must share a domain")
+    ranges = _indexed_ranges(coarse)
+    starts = [start for start, _, _ in ranges]
     for small in fine.cells:
-        if not any(cell_intersect(small, big) == small for big in coarse.cells):
-            return False
+        owner = None
+        for start, end in small.cut_ranges:
+            _, big_end, k = ranges[bisect_right(starts, start) - 1]
+            if end > big_end or owner not in (None, k):
+                return False
+            owner = k
     return True
 
 
 def common_refinement(a: Partition, b: Partition) -> Partition:
-    """Pairwise intersections with empty cells dropped."""
+    """Pairwise intersections with empty cells dropped.
+
+    One sweep over both partitions' ranges meets every overlapping pair;
+    cells come out in (cell of a, cell of b) order.
+    """
     if a.domain != b.domain:
         raise DomainError("partitions must share a domain")
-    cells = []
-    for ca in a.cells:
-        for cb in b.cells:
-            meet = cell_intersect(ca, cb)
-            if not meet.is_empty:
-                cells.append(meet)
-    return Partition(tuple(cells), a.domain)
+    ra, rb = _indexed_ranges(a), _indexed_ranges(b)
+    meets: dict[tuple[int, int], list[Interval]] = {}
+    i = j = 0
+    while i < len(ra) and j < len(rb):
+        start = max(ra[i][0], rb[j][0])
+        end = min(ra[i][1], rb[j][1])
+        if start < end:
+            meets.setdefault((ra[i][2], rb[j][2]), []).append(
+                _interval_from_cuts(start, end))
+        if ra[i][1] <= rb[j][1]:
+            i += 1
+        else:
+            j += 1
+    return Partition(tuple(Cell(tuple(meets[key])) for key in sorted(meets)), a.domain)
 
 
 def partition_from_cuts(domain: Interval, cuts: Iterable[Number | str]) -> Partition:
@@ -201,10 +231,9 @@ def partition_from_cuts(domain: Interval, cuts: Iterable[Number | str]) -> Parti
     domain's own endpoint kinds; a Left atom at a cut is captured by the cell
     to its left and a Right atom by the cell to its right.
     """
-    inner = sorted({rat(t) for t in cuts if domain.lo < rat(t) < domain.hi})
+    inner = sorted({t for t in map(rat, cuts) if domain.lo < t < domain.hi})
     bounds: list[Cut] = [domain.start_cut]
     bounds += [(t, 0) for t in inner]
     bounds.append(domain.end_cut)
-    cells = [Cell((_interval_from_cuts(s, e),))
-             for s, e in zip(bounds, bounds[1:]) if s < e]
+    cells = [Cell((_interval_from_cuts(s, e),)) for s, e in zip(bounds, bounds[1:])]
     return Partition(tuple(cells), domain)

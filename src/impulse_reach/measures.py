@@ -22,8 +22,8 @@ from .piecewise import (
     RIGHT,
     PiecewiseFn,
     integrate_eta,
+    integrate_product,
     lin_comb,
-    multiply,
     step_function,
     step_values,
 )
@@ -181,7 +181,7 @@ def integral(u: PiecewiseFn, mu: FAMeasure) -> Number:
 
 def integral_over(u: PiecewiseFn, mu: FAMeasure, a: Cell) -> Number:
     """Integral restricted to a cell; atoms count iff the cell captures them."""
-    total = integrate_eta(multiply(u, mu.density), a)
+    total = integrate_product(u, mu.density, a)
     for atom in mu.atoms:
         if atom.captured_by(a):
             total += atom.mass * u.side_limit(atom.loc, atom.side.limit_side)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -159,16 +159,34 @@ class PiecewiseFn:
     # -- representation -------------------------------------------------------
 
     def refine(self, extra: Iterable[Number | str]) -> "PiecewiseFn":
-        """Equal function over a breakpoint superset."""
-        new = sorted(set(self.breakpoints) | {rat(t) for t in extra})
-        if new[0] != self.breakpoints[0] or new[-1] != self.breakpoints[-1]:
+        """Equal function over a breakpoint superset.
+
+        Old breakpoints keep their stored values; only the new points are
+        evaluated, on the piece whose open gap holds them.
+        """
+        bps = self.breakpoints
+        new = sorted({rat(t) for t in extra}.difference(bps))
+        if not new:
+            return self
+        if new[0] < bps[0] or new[-1] > bps[-1]:
             raise DomainError("refinement points must lie inside the domain")
+        points: list[Fraction] = []
         pieces: list[Coeffs] = []
-        values = [self.eval(t) for t in new]
-        for a in new[:-1]:
-            i = bisect_right(self.breakpoints, a) - 1
-            pieces.append(self.pieces[min(i, len(self.pieces) - 1)])
-        return PiecewiseFn(tuple(new), tuple(pieces), tuple(values))
+        values: list[Number] = []
+        j = 0
+        for i, coeffs in enumerate(self.pieces):
+            points.append(bps[i])
+            pieces.append(coeffs)
+            values.append(self.point_values[i])
+            hi = bps[i + 1]
+            while j < len(new) and new[j] < hi:
+                points.append(new[j])
+                pieces.append(coeffs)
+                values.append(poly_eval(coeffs, new[j]))
+                j += 1
+        points.append(bps[-1])
+        values.append(self.point_values[-1])
+        return PiecewiseFn(tuple(points), tuple(pieces), tuple(values))
 
     @staticmethod
     def from_json(obj: dict) -> "PiecewiseFn":
@@ -182,8 +200,9 @@ class PiecewiseFn:
 def _common(f: PiecewiseFn, g: PiecewiseFn) -> tuple[PiecewiseFn, PiecewiseFn]:
     if f.domain != g.domain:
         raise DomainError("functions live on different domains")
-    cuts = set(f.breakpoints) | set(g.breakpoints)
-    return f.refine(cuts), g.refine(cuts)
+    if f.breakpoints == g.breakpoints:
+        return f, g
+    return f.refine(g.breakpoints), g.refine(f.breakpoints)
 
 
 def lin_comb(alpha: Number, f: PiecewiseFn, beta: Number, g: PiecewiseFn) -> PiecewiseFn:
@@ -212,8 +231,6 @@ def scale(alpha: Number, f: PiecewiseFn) -> PiecewiseFn:
 
 
 def indicator(a: Cell, domain: Interval) -> PiecewiseFn:
-    if not a.within(domain):
-        raise DomainError("cell must be contained in the domain")
     return step_function(domain, [(a, 1)])
 
 
@@ -221,22 +238,39 @@ def step_function(domain: Interval, cell_values: Sequence[tuple[Cell, Number]],
                   default: Number = 0) -> PiecewiseFn:
     """Step function equal to `value` on each cell and `default` elsewhere.
 
-    Cells must be pairwise disjoint; breakpoints are the cells' endpoints.
+    Cells must be pairwise disjoint and lie inside the domain; breakpoints
+    are the cells' endpoints.  Disjoint parts never hold another part's
+    endpoint strictly inside, so one walk over the parts in order gives each
+    gap its part's value and each breakpoint the value of the part closed
+    there.
     """
-    cuts = {domain.lo, domain.hi}
-    for cell, _ in cell_values:
-        cuts.update(t for t in cell.endpoints() if domain.lo <= t <= domain.hi)
-    bps = sorted(cuts)
-
-    def value_at(t: Fraction) -> Number:
-        for cell, v in cell_values:
-            if cell.contains(t):
-                return v
-        return default
-
-    pieces = tuple(_trim([value_at((a + b) / 2)]) for a, b in zip(bps, bps[1:]))
-    values = tuple(value_at(b) for b in bps)
-    return PiecewiseFn(tuple(bps), pieces, values)
+    parts = sorted(((part, v) for cell, v in cell_values for part in cell.parts),
+                   key=lambda pv: pv[0].start_cut)
+    for (prev, _), (cur, _) in zip(parts, parts[1:]):
+        if cur.start_cut < prev.end_cut:
+            raise DomainError("step function cells must be pairwise disjoint")
+    if parts and (parts[0][0].start_cut < domain.start_cut
+                  or parts[-1][0].end_cut > domain.end_cut):
+        raise DomainError("step function cells must lie in the domain")
+    bps = [domain.lo]
+    values = [default]
+    pieces: list[Coeffs] = []
+    for part, v in parts:
+        if part.lo != bps[-1]:
+            pieces.append((default,))
+            bps.append(part.lo)
+            values.append(default)
+        if part.lo_closed:
+            values[-1] = v
+        if part.hi != part.lo:
+            pieces.append((v,))
+            bps.append(part.hi)
+            values.append(v if part.hi_closed else default)
+    if bps[-1] != domain.hi:
+        pieces.append((default,))
+        bps.append(domain.hi)
+        values.append(default)
+    return PiecewiseFn(tuple(bps), tuple(pieces), tuple(values))
 
 
 def fn_equal(f: PiecewiseFn, g: PiecewiseFn) -> bool:
@@ -273,13 +307,14 @@ def sup_norm(f: PiecewiseFn) -> Number:
     return best
 
 
-def integrate_eta(f: PiecewiseFn, a: Cell) -> Number:
-    """Antiderivative-based integral of f over the cell; point values ignored.
+def _integrate_gaps(bps: Sequence[Fraction], piece: Callable[[int], Coeffs],
+                    a: Cell) -> Number:
+    """Integral over the cell of the function whose k-th gap carries piece(k).
 
-    Float coefficients are integrated at their exact values and the total is
-    rounded to float once, so the result is the correctly rounded integral.
+    Each coefficient is integrated at its exact value; the total is rounded
+    to float once iff a piece the cell meets has a float coefficient.
     """
-    if not a.within(f.domain):
+    if not a.within(Interval(bps[0], bps[-1])):
         raise DomainError("integration cell must lie in the domain")
     total = Fraction(0)
     rounded = False
@@ -287,17 +322,64 @@ def integrate_eta(f: PiecewiseFn, a: Cell) -> Number:
         lo, hi = part.lo, part.hi
         if lo == hi:
             continue
-        i = bisect_right(f.breakpoints, lo) - 1
-        i = min(i, len(f.pieces) - 1)
+        i = bisect_right(bps, lo) - 1
         cursor = lo
         while cursor < hi:
-            seg_hi = min(hi, f.breakpoints[i + 1])
-            rounded = rounded or any(isinstance(c, float) for c in f.pieces[i])
-            anti = poly_antiderivative(f.pieces[i])
-            total += poly_eval(anti, seg_hi) - poly_eval(anti, cursor)
+            seg_hi = min(hi, bps[i + 1])
+            coeffs = piece(i)
+            rounded = rounded or any(isinstance(c, float) for c in coeffs)
+            if len(coeffs) == 1:
+                c = coeffs[0]
+                total += (c if isinstance(c, Fraction) else Fraction(c)) * (seg_hi - cursor)
+            else:
+                anti = poly_antiderivative(coeffs)
+                total += poly_eval(anti, seg_hi) - poly_eval(anti, cursor)
             cursor = seg_hi
             i += 1
     return float(total) if rounded else total
+
+
+def integrate_eta(f: PiecewiseFn, a: Cell) -> Number:
+    """Antiderivative-based integral of f over the cell; point values ignored.
+
+    Float coefficients are integrated at their exact values and the total is
+    rounded to float once, so the result is the correctly rounded integral.
+    """
+    return _integrate_gaps(f.breakpoints, f.pieces.__getitem__, a)
+
+
+def integrate_product(f: PiecewiseFn, g: PiecewiseFn, a: Cell) -> Number:
+    """integrate_eta(multiply(f, g), a) without building the product.
+
+    One merge walk over both breakpoint lists pairs the pieces of each common
+    gap; the gaps the cell meets are multiplied with poly_mul in the same
+    order and the total is rounded once, so float results are bit-equal to
+    the product path.  A degree overflow anywhere on the domain raises
+    CapacityError, as multiply does.
+    """
+    if f.domain != g.domain:
+        raise DomainError("functions live on different domains")
+    fb, gb = f.breakpoints, g.breakpoints
+    bps = [fb[0]]
+    pairs: list[tuple[Coeffs, Coeffs]] = []
+    i = j = 0
+    while i < len(f.pieces):
+        fp, gp = f.pieces[i], g.pieces[j]
+        if len(fp) + len(gp) - 2 > MAX_DEGREE:
+            raise CapacityError("product degree exceeds cap")
+        pairs.append((fp, gp))
+        f_hi, g_hi = fb[i + 1], gb[j + 1]
+        if f_hi < g_hi:
+            bps.append(f_hi)
+            i += 1
+        elif g_hi < f_hi:
+            bps.append(g_hi)
+            j += 1
+        else:
+            bps.append(f_hi)
+            i += 1
+            j += 1
+    return _integrate_gaps(bps, lambda k: poly_mul(*pairs[k]), a)
 
 
 def step_values(f: PiecewiseFn) -> list[tuple[Fraction, Fraction, Number]]:

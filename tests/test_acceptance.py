@@ -6,8 +6,6 @@ import json
 import time
 from fractions import Fraction
 
-import pytest
-
 from impulse_reach.attainability import (
     PlanarSet,
     ReachConfig,

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from impulse_reach.attainability import PlanarSet
-from impulse_reach.cli import dump_json, load_scenario, main, render_svg, run_scenario
+from impulse_reach.cli import dump_json, load_scenario, main, render_svg
 
 F = Fraction
 

@@ -4,7 +4,6 @@ import pytest
 
 from impulse_reach.dynamics import (
     ConstraintSpec,
-    ImpulseSystem,
     build_double_integrator,
     gen_moments,
     moments,

@@ -1,4 +1,4 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module or a test file imports is used in that file."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import impulse_reach
 
 MODULES = sorted(p for p in Path(impulse_reach.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+TEST_FILES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -28,7 +29,8 @@ def _unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES,
+                         ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TEST_FILES])
 def test_every_import_is_used(path):
     assert _unused_imports(path.read_text()) == []
 

@@ -8,8 +8,6 @@ from impulse_reach.intervals import (
     Cell,
     Interval,
     Partition,
-    cell_intersect,
-    eta,
     partition_from_cuts,
 )
 from impulse_reach.measures import (

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from impulse_reach.errors import BoundaryError, CapacityError
+from impulse_reach.errors import BoundaryError, CapacityError, DomainError
 from impulse_reach.intervals import Cell, Interval, cell_intersect
 from impulse_reach.piecewise import (
     LEFT,
@@ -71,6 +71,30 @@ def test_indicator_injective(rng):
         a, b = rand_cell(rng), rand_cell(rng)
         if fn_equal(indicator(a, UNIT), indicator(b, UNIT)):
             assert a == b
+
+
+# -- step_function ------------------------------------------------------------
+
+def test_step_function_rejects_overlapping_cells():
+    low, high = cell_of((0, "1/2")), cell_of(("1/4", 1))
+    for cell_values in ([(low, 1), (high, 2)], [(high, 2), (low, 1)]):
+        with pytest.raises(DomainError):
+            step_function(UNIT, cell_values)
+    with pytest.raises(DomainError):  # a shared point is an overlap too
+        step_function(UNIT, [(low, 1), (cell_of(("1/2", 1)), 2)])
+    touching = step_function(UNIT, [(cell_of((0, "1/2", True, False)), 1),
+                                    (cell_of(("1/2", 1)), 2)])
+    assert [touching.eval(t) for t in ("0", "1/2", "1")] == [1, 2, 2]
+
+
+def test_step_function_rejects_cells_outside_the_domain():
+    closed, half_open = Interval.make(0, "1/2"), Interval.make(0, "1/2", True, False)
+    for domain, cell in ((closed, cell_of(("1/4", 1))), (closed, cell_of("3/4")),
+                         (half_open, cell_of((0, "1/2")))):
+        with pytest.raises(DomainError):
+            step_function(domain, [(cell, 1)])
+        with pytest.raises(DomainError):
+            indicator(cell, domain)
 
 
 # -- lin_comb -----------------------------------------------------------------
