@@ -20,6 +20,10 @@ directions argument is validated but shapes no set.  short_impulse_mp is the
 exact union of one-sided-limit segments for the vanishing-support constraint
 family.  Every set is planar: systems with other than two terminal kernels
 are rejected.
+Set distances are sup-norm support-function gaps: the sup over a piece a of
+the distance to a convex piece b is max(0, max_u h_a(u) - h_b(u)) over the
+L1 unit directions where the gap can peak, +-e1, +-e2 and the edge normals
+of b.  They use no tolerance, so scaling both sets scales them.
 """
 
 from __future__ import annotations
@@ -158,8 +162,14 @@ def convex_hull_2d(points: Sequence[Sequence[float]]) -> list[tuple[float, float
 
 
 def hull_piece(points: Sequence[Sequence[float]]) -> PlanarSet:
-    """Canonical PlanarSet piece for a finite planar point cloud: its convex hull."""
-    hull = convex_hull_2d({tuple(num_to_json(float(c)) for c in p) for p in points})
+    """Canonical PlanarSet piece for a finite planar point cloud: its convex hull.
+
+    The hull is taken on the raw floats, its vertices are rounded to the
+    printed digits, and the rounded vertices are hulled again, so a point on
+    an edge never turns into a vertex by rounding.
+    """
+    hull = convex_hull_2d(points)
+    hull = convex_hull_2d([tuple(num_to_json(c) for c in p) for p in hull])
     if len(hull) >= 3:
         return PlanarSet(polygons=(tuple(hull),))
     if len(hull) == 2:
@@ -167,80 +177,51 @@ def hull_piece(points: Sequence[Sequence[float]]) -> PlanarSet:
     return PlanarSet(points=tuple(hull))
 
 
-def point_segment_distance(p: Sequence[float], a: Sequence[float],
-                           b: Sequence[float]) -> float:
-    """Exact sup-norm distance from p to the segment [a, b].
-
-    The distance along the segment is a convex piecewise-linear function of
-    the parameter, so its minimum sits at a kink, a crossing, or an end.
-    """
-    d = [float(pi) - float(ai) for pi, ai in zip(p, a)]
-    e = [float(bi) - float(ai) for bi, ai in zip(b, a)]
-    candidates = {0.0, 1.0}
-    n = len(d)
-    for i in range(n):
-        if e[i] != 0.0:
-            candidates.add(min(1.0, max(0.0, d[i] / e[i])))
-        for j in range(i + 1, n):
-            for sj in (1.0, -1.0):
-                denom = e[i] - sj * e[j]
-                if denom != 0.0:
-                    s = (d[i] - sj * d[j]) / denom
-                    candidates.add(min(1.0, max(0.0, s)))
-    best = math.inf
-    for s in candidates:
-        best = min(best, max(abs(di - s * ei) for di, ei in zip(d, e)))
-    return best
-
-
-def _point_in_convex_polygon(p: Sequence[float], poly: Sequence[Sequence[float]],
-                             eps: float = 1e-12) -> bool:
-    for a, b in zip(poly, list(poly[1:]) + [poly[0]]):
-        cross = ((float(b[0]) - float(a[0])) * (float(p[1]) - float(a[1]))
-                 - (float(b[1]) - float(a[1])) * (float(p[0]) - float(a[0])))
-        if cross < -eps:
-            return False
-    return True
-
-
-def _corners(ps: PlanarSet) -> list[tuple[float, ...]]:
-    """The points, segment ends and polygon vertices of a set without arcs."""
+def _pieces(ps: PlanarSet) -> list[tuple[tuple[float, float], ...]]:
+    """The vertex list of each piece: a point, a segment's ends, a polygon's vertices."""
     if ps.arcs:
         raise DomainError("set distances have no exact form on arcs")
     pieces = [(p,) for p in ps.points] + list(ps.segments) + list(ps.polygons)
-    return [tuple(float(c) for c in p) for piece in pieces for p in piece]
+    return [tuple((float(x), float(y)) for x, y in piece) for piece in pieces]
 
 
-def _distance_to_set(p: Sequence[float], ps: PlanarSet) -> float:
-    best = math.inf
-    for q in ps.points:
-        best = min(best, max(abs(float(qc) - pc) for qc, pc in zip(q, p)))
-    for a, b in ps.segments:
-        best = min(best, point_segment_distance(p, a, b))
-    for poly in ps.polygons:
-        if _point_in_convex_polygon(p, poly):
-            return 0.0
-        for a, b in zip(poly, list(poly[1:]) + [poly[0]]):
-            best = min(best, point_segment_distance(p, a, b))
-    return best
+def _gap(a: Sequence[tuple[float, float]], b: Sequence[tuple[float, float]]) -> float:
+    """sup_{x in hull(a)} of the sup-norm distance from x to hull(b).
+
+    dist(x, hull(b)) = max over the L1 unit ball of u.x - h_b(u), so the sup
+    is max(0, max_u h_a(u) - h_b(u)).  Along each edge of the L1 sphere both
+    supports are convex and piecewise linear, so the gap peaks at a corner
+    +-e1, +-e2 or where h_b bends: at an edge normal of b.  Both signs of each
+    normal are taken, so the vertex order of b does not matter.
+    """
+    dirs = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
+    for (x0, y0), (x1, y1) in zip(b, b[1:] + b[:1]):
+        norm = abs(y1 - y0) + abs(x1 - x0)
+        if norm > 0:
+            u = ((y1 - y0) / norm, (x0 - x1) / norm)
+            dirs += [u, (-u[0], -u[1])]
+
+    def support(piece, ux, uy):
+        return max(ux * x + uy * y for x, y in piece)
+
+    return max(0.0, max(support(a, *u) - support(b, *u) for u in dirs))
 
 
 def _directed(a: PlanarSet, b: PlanarSet) -> float:
-    """sup_{x in a} dist(x, b) in the sup-norm, taken over the corners of a.
+    """sup_{x in a} dist(x, b) in the sup-norm, as support-function gaps.
 
-    When b is one convex piece, x -> dist(x, b) is convex, so its sup over a
-    segment or polygon of a sits at a corner.  Over a union of pieces that
-    fails, so only a finite point set may be measured against a union, and
-    arcs are rejected on either side.
+    Against one convex piece of b, each piece of a gives its _gap.  Against a
+    union, the sup over a segment or polygon has no such form, so only a
+    finite point set may be measured there: each point takes its least gap
+    over the union's pieces.  Arcs are rejected on either side.
     """
     if a.is_empty or b.is_empty:
         raise EmptySetError("set distances need two nonempty sets")
-    if b.arcs:
-        raise DomainError("set distances have no exact form on arcs")
-    if (a.segments or a.polygons) and len(b.points) + len(b.segments) + len(b.polygons) > 1:
+    sources, targets = _pieces(a), _pieces(b)
+    if len(targets) > 1 and any(len(piece) > 1 for piece in sources):
         raise DomainError("distance from a segment or polygon to a union of "
-                          "pieces has no exact form at the corners")
-    return max(_distance_to_set(p, b) for p in _corners(a))
+                          "pieces has no exact form as a support gap")
+    return max(min(_gap(piece, target) for target in targets) for piece in sources)
 
 
 def hausdorff_distance(a: PlanarSet, b: PlanarSet) -> float:
@@ -453,7 +434,8 @@ def universal_mp(sys: ImpulseSystem, cons: ConstraintSpec,
     The joint (terminal, constraint) moment image of the mass-b measure cone
     is the closed convex hull of the two-sided kernel-limit curve; each
     target box slices the hull in the constraint coordinates and the result
-    is projected to the terminal coordinates by support LPs.
+    is projected to the terminal coordinates by one shadow-vertex sweep per
+    box.
     """
     _check_input(sys, cons)
     if t_grid_size < 2:
@@ -539,6 +521,8 @@ def coincidence_check(sys: ImpulseSystem, cons: ConstraintSpec,
                       directions: int = 360, t_grid_size: int = 129) -> CoincidenceReport:
     """Compare the fully-relaxed and partially-relaxed reach sets along a
     mesh/epsilon schedule against the generalized attraction set."""
+    if not schedule:
+        raise DomainError("coincidence check needs a nonempty schedule")
     universal = universal_mp(sys, cons, t_grid_size, directions)
     entries = []
     for mesh, epsilon in schedule:
@@ -546,7 +530,7 @@ def coincidence_check(sys: ImpulseSystem, cons: ConstraintSpec,
         partial = relaxed_reach(sys, cons, ReachConfig(mesh, epsilon, directions, cons.J))
         if full.is_empty or partial.is_empty or universal.is_empty:
             raise NumericError("coincidence check needs nonempty reach sets")
-        extent = max(abs(c) for p in _corners(full) for c in p)
+        extent = max(abs(c) for piece in _pieces(full) for p in piece for c in p)
         entries.append(CoincidenceEntry(
             mesh=mesh,
             epsilon=float(epsilon),
@@ -560,6 +544,6 @@ def coincidence_check(sys: ImpulseSystem, cons: ConstraintSpec,
     return CoincidenceReport(
         entries=tuple(entries),
         distances_decrease=decreasing,
-        final_d_full_partial=entries[-1].d_full_partial if entries else math.inf,
-        final_d_to_universal=gaps[-1] if gaps else math.inf,
+        final_d_full_partial=entries[-1].d_full_partial,
+        final_d_to_universal=gaps[-1],
     )

@@ -261,13 +261,16 @@ def run_scenario(path: str | Path, command: str, out: Optional[str] = None,
 
     if command in ("reach", "mp", "short-impulse"):
         if command == "reach":
-            J = frozenset(cons.J) if task.get("relaxation") == "partial" else None
+            if task["relaxation"] not in ("full", "partial"):
+                raise SchemaError(f"relaxation must be 'full' or 'partial', "
+                                  f"not {task['relaxation']!r}")
+            J = frozenset(cons.J) if task["relaxation"] == "partial" else None
             cfg = ReachConfig(int(task["mesh"]), num_from_json(task["epsilon"]),
                               int(task["directions"]), J)
             result = relaxed_reach(system, cons, cfg)
             payload = {"mesh": cfg.mesh, "epsilon": _fmt_num(cfg.epsilon),
                        "directions": cfg.directions,
-                       "relaxation": task.get("relaxation", "full"),
+                       "relaxation": task["relaxation"],
                        "feasible": not result.is_empty}
         elif command == "mp":
             result = universal_mp(system, cons, int(task["t_grid"]),

@@ -5,6 +5,7 @@ Everything is driven by seeded random.Random instances so failures replay.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -25,10 +26,8 @@ def rng() -> random.Random:
 
 def rand_rat(rng: random.Random, lo=0, hi=1, denoms=(2, 3, 4, 5, 6, 8, 12, 16)) -> Fraction:
     den = rng.choice(denoms)
-    lo_f, hi_f = Fraction(lo), Fraction(hi)
-    num_lo = int(lo_f * den)
-    num_hi = int(hi_f * den)
-    return Fraction(rng.randint(num_lo, num_hi), den)
+    lo = Fraction(lo)
+    return lo + Fraction(rng.randint(0, math.floor((Fraction(hi) - lo) * den)), den)
 
 
 def rand_cuts(rng: random.Random, domain: Interval = UNIT, max_cuts: int = 5) -> list[Fraction]:

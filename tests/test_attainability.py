@@ -23,7 +23,6 @@ from impulse_reach.attainability import (
     directed_distance,
     hausdorff_distance,
     hull_piece,
-    point_segment_distance,
     relax_box,
     relaxed_reach,
     short_impulse_mp,
@@ -88,12 +87,15 @@ def test_hull_piece_degenerate_to_segment():
     assert seg_endpoints(ps) == [(0.125, 1.0), (0.875, 1.0)]
 
 
-def test_point_segment_distance_sup_norm():
-    assert point_segment_distance((0, 0), (0, 0), (1, 0)) == 0
-    assert point_segment_distance((2, 0), (0, 0), (1, 0)) == 1
-    assert point_segment_distance((0.5, 0.3), (0, 0), (1, 0)) == pytest.approx(0.3)
+def test_point_to_segment_distance_sup_norm():
+    def dist(p, a, b):
+        return directed_distance(PlanarSet(points=(p,)), PlanarSet(segments=((a, b),)))
+
+    assert dist((0, 0), (0, 0), (1, 0)) == 0
+    assert dist((2, 0), (0, 0), (1, 0)) == 1
+    assert dist((0.5, 0.3), (0, 0), (1, 0)) == pytest.approx(0.3)
     # diagonal segment, sup-norm projection
-    assert point_segment_distance((1, 0), (0, 0), (1, 1)) == pytest.approx(0.5)
+    assert dist((1, 0), (0, 0), (1, 1)) == pytest.approx(0.5)
 
 
 # -- hausdorff ----------------------------------------------------------------
@@ -157,6 +159,109 @@ def test_points_against_union_exact_min_max():
     two = PlanarSet(points=((0.0, 0.0),), segments=(((4.0, 0.0), (6.0, 0.0)),))
     # (0, 3): min(3, 4) = 3; (5, 0.5): min(5, 0.5) = 0.5
     assert directed_distance(pts, two) == 3.0
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-7, 1e-9])
+def test_distances_scale_with_the_sets(scale):
+    def diamond(r):
+        return PlanarSet(polygons=(((r, 0.0), (0.0, r), (-r, 0.0), (0.0, -r)),))
+
+    def point(x, y):
+        return PlanarSet(points=((x, y),))
+
+    def distances(lam):
+        return [hausdorff_distance(square(0.0, 3 * lam), square(0.0, lam)),
+                directed_distance(square(0.0, lam), square(0.0, 3 * lam)),
+                directed_distance(point(2 * lam, lam / 2), square(0.0, lam)),
+                directed_distance(point(lam / 2, lam / 4), square(0.0, lam)),
+                directed_distance(point(lam, lam), diamond(lam))]
+
+    unit = distances(1.0)
+    assert unit == [2.0, 0.0, 1.0, 0.0, 0.5]
+    for got, want in zip(distances(scale), unit):
+        assert abs(got - scale * want) <= 1e-12 * scale * max(1.0, want)
+
+
+# The corner rule that set distances used before the support-gap rule: the
+# sup over each corner of a of the distance to b, found per point by an
+# inside test with an absolute tolerance or the nearest edge's kinks.
+
+def ref_point_segment_distance(p, a, b):
+    d = [float(pi) - float(ai) for pi, ai in zip(p, a)]
+    e = [float(bi) - float(ai) for bi, ai in zip(b, a)]
+    candidates = {0.0, 1.0}
+    for i in range(len(d)):
+        if e[i] != 0.0:
+            candidates.add(min(1.0, max(0.0, d[i] / e[i])))
+        for j in range(i + 1, len(d)):
+            for sj in (1.0, -1.0):
+                denom = e[i] - sj * e[j]
+                if denom != 0.0:
+                    candidates.add(min(1.0, max(0.0, (d[i] - sj * d[j]) / denom)))
+    return min(max(abs(di - s * ei) for di, ei in zip(d, e)) for s in candidates)
+
+
+def ref_point_in_convex_polygon(p, poly, eps=1e-12):
+    for a, b in zip(poly, list(poly[1:]) + [poly[0]]):
+        cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+        if cross < -eps:
+            return False
+    return True
+
+
+def ref_distance_to_set(p, ps):
+    best = math.inf
+    for q in ps.points:
+        best = min(best, max(abs(qc - pc) for qc, pc in zip(q, p)))
+    for a, b in ps.segments:
+        best = min(best, ref_point_segment_distance(p, a, b))
+    for poly in ps.polygons:
+        if ref_point_in_convex_polygon(p, poly):
+            return 0.0
+        for a, b in zip(poly, list(poly[1:]) + [poly[0]]):
+            best = min(best, ref_point_segment_distance(p, a, b))
+    return best
+
+
+def ref_directed_distance(a, b):
+    return max(ref_distance_to_set(p, b) for p in set_corners(a).tolist())
+
+
+def random_piece(rng, kind):
+    def pt():
+        return (rng.uniform(-3, 3), rng.uniform(-3, 3))
+
+    if kind == "point":
+        return PlanarSet(points=(pt(),))
+    if kind == "segment":
+        return PlanarSet(segments=((pt(), pt()),))
+    hull = convex_hull_2d([pt() for _ in range(rng.randint(3, 8))])
+    if len(hull) < 3:
+        return random_piece(rng, kind)
+    return PlanarSet(polygons=(tuple(hull),))
+
+
+def test_support_gaps_match_the_corner_rule_on_random_pairs():
+    rng = random.Random("support gaps")
+    kinds = ("point", "segment", "polygon")
+    pairs = []
+    for a_kind, b_kind in itertools.product(kinds, kinds):
+        pairs += [(random_piece(rng, a_kind), random_piece(rng, b_kind)) for _ in range(25)]
+    for _ in range(40):
+        points = PlanarSet(points=tuple(random_piece(rng, "point").points[0]
+                                        for _ in range(rng.randint(1, 4))))
+        union = PlanarSet()
+        for _ in range(rng.randint(2, 4)):
+            union = union.merge(random_piece(rng, rng.choice(kinds)))
+        pairs.append((points, union))
+    assert len(pairs) >= 200
+    for a, b in pairs:
+        extent = max(1.0, float(np.max(np.abs(set_corners(a.merge(b))))))
+        assert abs(directed_distance(a, b) - ref_directed_distance(a, b)) <= 1e-12 * extent
+        # the corner rule's inside test needs counterclockwise polygons; the
+        # support gaps do not
+        clockwise = PlanarSet(b.points, b.segments, b.arcs, tuple(p[::-1] for p in b.polygons))
+        assert directed_distance(a, clockwise) == directed_distance(a, b)
 
 
 # -- relaxed_reach --------------------------------------------------------------
@@ -761,9 +866,7 @@ def test_pruned_rows_leave_reach_sets_unchanged(mesh):
         boxes = [relax_box(box, cfg.epsilon, None) for box in cons.boxes]
         pruned = relaxed_reach(sys, cons, cfg)
         full = _project(rows, boxes, cfg.directions)
-        # hull_piece rounds to 12 digits before taking the hull, so a row on
-        # an edge can land up to 5e-11 off it and survive as a vertex: the
-        # sets agree to rounding, not always byte for byte
         extent = max(1.0, float(np.max(np.abs(set_corners(full)))))
         assert hausdorff_distance(pruned, full) <= 1e-9 * extent
+        assert pruned.to_json() == full.to_json()
     assert dropped > 0 or mesh == 3

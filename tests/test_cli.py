@@ -213,6 +213,22 @@ def test_check_schedule_with_two_target_boxes_exits_2(tmp_path):
     assert main(["check", "--scenario", str(path)]) == 2
 
 
+def test_check_with_an_empty_schedule_exits_2(tmp_path, capsys):
+    # an empty schedule has no final distance to report
+    path = write_scenario(tmp_path, c=ZIGZAG_C, task={"schedule": []})
+    assert main(["check", "--scenario", str(path)]) == 2
+    assert "nonempty schedule" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("relaxation", ["parital", "Full", None])
+def test_reach_rejects_an_unknown_relaxation(tmp_path, capsys, relaxation):
+    path = write_scenario(tmp_path, c=CONST_C,
+                          task={"mesh": 4, "epsilon": "1/100", "relaxation": relaxation})
+    out = tmp_path / "reach.json"
+    assert main(["reach", "--scenario", str(path), "--out", str(out)]) == 2
+    assert "relaxation" in capsys.readouterr().err and not out.exists()
+
+
 def test_infeasible_reach_reports_feasible_false(tmp_path):
     path = write_scenario(
         tmp_path, c=CONST_C,

@@ -14,7 +14,14 @@ from impulse_reach.intervals import (
     partition_from_cuts,
 )
 
-from conftest import UNIT, membership_samples, rand_cell, rand_interval, rand_partition
+from conftest import (
+    UNIT,
+    membership_samples,
+    rand_cell,
+    rand_interval,
+    rand_partition,
+    rand_rat,
+)
 
 
 def cell_of(*specs) -> Cell:
@@ -176,3 +183,11 @@ def test_uniform_partition():
     assert p.cells[0] == cell_of((0, "1/4", True, False))
     assert p.cells[-1] == cell_of(("3/4", 1))
     assert {eta(c) for c in p.cells} == {Fraction(1, 4)}
+
+
+def test_random_points_and_cells_stay_in_an_offset_domain(rng):
+    domain = Interval.make("1/3", "7/5")
+    for _ in range(1000):
+        assert domain.lo <= rand_rat(rng, domain.lo, domain.hi) <= domain.hi
+    for _ in range(200):
+        assert rand_cell(rng, domain).within(domain)
