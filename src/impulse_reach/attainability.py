@@ -4,11 +4,13 @@ Both approximate sets are hulls of generator rows sliced by target boxes.
 relaxed_reach takes the step controls on a uniform mesh: their joint
 (terminal, constraint) moments form the convex hull of b times the cell
 averages of the kernels, one row per cell, sliced by the relaxed target.
-A row that the kernels' affine pieces place on the segment between its
-neighbours is dropped first, which leaves the hull unchanged.
 universal_mp takes the generalized controls: the mass-b measure cone is the
 closed convex hull of the scaled one-sided Diracs, so its rows are b times
-the one-sided kernel limits on a time grid, sliced by the exact target.
+the one-sided kernel limits at the breakpoints and on a time grid, sliced by
+the exact target.  Both build a row only at a site (cell or limit) that one
+pruning rule keeps: a site amid one affine piece of every kernel lies on the
+segment between its neighbours' rows.  So on affine kernels mp's rows are the
+breakpoint limits, and the grid samples only pieces of degree >= 2.
 The rows are floats of the exact kernels: a cell inside one kernel piece is
 averaged by Gauss-Legendre quadrature in float, a cell that a breakpoint
 splits is integrated exactly and rounded, and each limit is evaluated in
@@ -337,8 +339,29 @@ def _cell_pieces(kernel: PiecewiseFn, t0: Fraction, step: Fraction,
     return np.searchsorted(starts, np.arange(mesh), side="right"), split
 
 
-def _mesh_generators(sys: ImpulseSystem, cons: ConstraintSpec, mesh: int) -> np.ndarray:
-    """One row per mesh cell: b times the cell averages of the pi and s kernels.
+def _kept_sites(kernels: Sequence[PiecewiseFn], pieces: Sequence[np.ndarray],
+                splits: Sequence[np.ndarray]) -> np.ndarray:
+    """Mask of the time-ordered sites to keep; site k reads piece pieces[j][k]
+    of kernels[j], and splits[j][k] says a breakpoint of it splits the site.
+
+    Site k is dropped when sites k-1 and k+1 lie in one piece of every kernel,
+    none of the three is split, and each such piece has degree <= 1: the three
+    rows are then one affine map's values at increasing times.  Each run of
+    dropped sites keeps its two ends, so the hull of the rows is unchanged.
+    """
+    drop = np.zeros(len(pieces[0]), dtype=bool)
+    drop[1:-1] = True
+    for kernel, piece, split in zip(kernels, pieces, splits):
+        affine = np.array([len(cs) <= 2 for cs in kernel.pieces])[piece]
+        drop[1:-1] &= ((piece[:-2] == piece[2:]) & affine[1:-1]
+                       & ~(split[:-2] | split[1:-1] | split[2:]))
+    return ~drop
+
+
+def _mesh_generators(sys: ImpulseSystem, cons: ConstraintSpec,
+                     mesh: int) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of the mesh cells _kept_sites keeps, and one row per kept
+    cell: b times the cell averages of the pi and s kernels.
 
     A step control with mass m_j on cell j has the moments sum_j (m_j / b) row_j,
     and the weights m_j / b are nonnegative and sum to 1.  A cell inside one
@@ -349,43 +372,27 @@ def _mesh_generators(sys: ImpulseSystem, cons: ConstraintSpec, mesh: int) -> np.
     """
     kernels = sys.pi + cons.s
     step = (sys.theta0 - sys.t0) / mesh
+    pieces, splits = zip(*(_cell_pieces(kernel, sys.t0, step, mesh) for kernel in kernels))
+    kept = _kept_sites(kernels, pieces, splits)
+    cells = np.flatnonzero(kept)
     # the midpoints t0 + (2k + 1) step / 2 as ratios of ints, which divide
     # to the correctly rounded float
     a, d = sys.t0.numerator, sys.t0.denominator
     p, q = step.numerator, step.denominator
-    mids = np.array([(2 * a * q + (2 * k + 1) * p * d) / (2 * d * q) for k in range(mesh)])
+    mids = np.array([(2 * a * q + (2 * k + 1) * p * d) / (2 * d * q) for k in cells.tolist()])
     nodes = mids[:, None] + float(step) / 2 * _GL_NODES
     b = float(sys.b)
     length = float(step)
-    rows = np.empty((mesh, len(kernels)))
-    for j, kernel in enumerate(kernels):
-        pieces, split = _cell_pieces(kernel, sys.t0, step, mesh)
-        values = _horner(_coefficient_table(kernel)[pieces][:, None, :], nodes)
+    rows = np.empty((cells.size, len(kernels)))
+    for j, (kernel, piece, split) in enumerate(zip(kernels, pieces, splits)):
+        values = _horner(_coefficient_table(kernel)[piece[cells]][:, None, :], nodes)
         centre = values[:, 1:2]
         rows[:, j] = b * (centre[:, 0] + ((values - centre) * (_GL_WEIGHTS / 2)).sum(axis=1))
-        for k in np.flatnonzero(split).tolist():
+        for i in np.flatnonzero(split[cells]).tolist():
+            k = int(cells[i])
             cell = Cell((Interval(sys.t0 + k * step, sys.t0 + (k + 1) * step),))
-            rows[k, j] = b * float(integrate_eta(kernel, cell)) / length
-    return rows
-
-
-def _collinear_rows(sys: ImpulseSystem, cons: ConstraintSpec, mesh: int) -> np.ndarray:
-    """Mask of the mesh rows that lie on the segment between their neighbours.
-
-    That holds for cell k when cells k-1, k and k+1 lie in the same piece of
-    every kernel, no breakpoint splits them, and each such piece has degree
-    <= 1: the three rows are then one affine map's values at equally spaced
-    midpoints.  Dropping these rows leaves the hull unchanged.
-    """
-    step = (sys.theta0 - sys.t0) / mesh
-    inner = np.zeros(mesh, dtype=bool)
-    inner[1:-1] = True
-    for kernel in sys.pi + cons.s:
-        pieces, split = _cell_pieces(kernel, sys.t0, step, mesh)
-        affine = np.array([len(cs) <= 2 for cs in kernel.pieces])[pieces]
-        inner[1:-1] &= ((pieces[:-2] == pieces[2:]) & affine[1:-1]
-                        & ~(split[:-2] | split[1:-1] | split[2:]))
-    return inner
+            rows[i, j] = b * float(integrate_eta(kernel, cell)) / length
+    return kept, rows
 
 
 def relaxed_reach(sys: ImpulseSystem, cons: ConstraintSpec,
@@ -400,13 +407,13 @@ def relaxed_reach(sys: ImpulseSystem, cons: ConstraintSpec,
                 raise PreconditionError(
                     "exact (Partial) coordinates need step constraint kernels")
     boxes = [relax_box(box, cfg.epsilon, cfg.partial_j) for box in cons.boxes]
-    gens = _mesh_generators(sys, cons, cfg.mesh)
-    return _project(gens[~_collinear_rows(sys, cons, cfg.mesh)], boxes, cfg.directions)
+    return _project(_mesh_generators(sys, cons, cfg.mesh)[1], boxes, cfg.directions)
 
 
 def _augmented_curve_samples(sys: ImpulseSystem, cons: ConstraintSpec,
-                             t_grid_size: int) -> np.ndarray:
-    """One row per sampled one-sided limit: b times the pi and s kernel limits.
+                             t_grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of the samples _kept_sites keeps, and one row per kept
+    sample: b times the pi and s kernel limits.
 
     The samples are both limits at every grid time and kernel breakpoint,
     except those outside the domain; each limit's piece is found exactly.
@@ -417,14 +424,16 @@ def _augmented_curve_samples(sys: ImpulseSystem, cons: ConstraintSpec,
     for kernel in kernels:
         times.update(kernel.breakpoints)
     samples = [(t, side) for t in sorted(times) for side in (LEFT, RIGHT)][1:-1]
-    at = np.array([float(t) for t, _ in samples])
+    pieces = [np.array([(bisect_left(kernel.breakpoints, t) if side == LEFT
+                         else bisect_right(kernel.breakpoints, t)) - 1 for t, side in samples])
+              for kernel in kernels]
+    kept = _kept_sites(kernels, pieces, [np.zeros(len(samples), dtype=bool)] * len(kernels))
+    at = np.array([float(t) for (t, _), keep in zip(samples, kept.tolist()) if keep])
     b = float(sys.b)
-    rows = np.empty((len(samples), len(kernels)))
-    for j, kernel in enumerate(kernels):
-        pieces = [(bisect_left(kernel.breakpoints, t) if side == LEFT
-                   else bisect_right(kernel.breakpoints, t)) - 1 for t, side in samples]
-        rows[:, j] = b * _horner(_coefficient_table(kernel)[pieces], at)
-    return rows
+    rows = np.empty((at.size, len(kernels)))
+    for j, (kernel, piece) in enumerate(zip(kernels, pieces)):
+        rows[:, j] = b * _horner(_coefficient_table(kernel)[piece[kept]], at)
+    return kept, rows
 
 
 def universal_mp(sys: ImpulseSystem, cons: ConstraintSpec,
@@ -432,15 +441,17 @@ def universal_mp(sys: ImpulseSystem, cons: ConstraintSpec,
     """Attraction set over generalized controls with the exact target.
 
     The joint (terminal, constraint) moment image of the mass-b measure cone
-    is the closed convex hull of the two-sided kernel-limit curve; each
-    target box slices the hull in the constraint coordinates and the result
-    is projected to the terminal coordinates by one shadow-vertex sweep per
-    box.
+    is the closed convex hull of the two-sided kernel-limit curve.  Where
+    every kernel is affine the curve is a segment, so the breakpoint limits
+    give the hull exactly; the t_grid_size grid samples are kept only inside
+    pieces of degree >= 2, where they give an inner hull.  Each target box
+    slices the hull in the constraint coordinates, and one shadow-vertex sweep
+    per box projects it to the terminal coordinates.
     """
     _check_input(sys, cons)
     if t_grid_size < 2:
         raise DomainError("t_grid_size must be at least 2")
-    return _project(_augmented_curve_samples(sys, cons, t_grid_size), cons.boxes,
+    return _project(_augmented_curve_samples(sys, cons, t_grid_size)[1], cons.boxes,
                     directions)
 
 

@@ -41,8 +41,8 @@ from .measures import FAMeasure
 from .piecewise import PiecewiseFn
 from .rational import Number, fmt_float, fmt_rat, num_from_json, rat
 
-DEFAULT_TASK = {"mesh": 64, "epsilon": 0.01, "directions": 360,
-                "t_grid": 129, "samples": 11, "relaxation": "full"}
+DEFAULT_TASK = {"mesh": 64, "epsilon": 0.01, "directions": 360, "t_grid": 129,
+                "samples": 11, "relaxation": "full", "schedule": None, "seed": 0}
 
 
 # -- scenario loading ------------------------------------------------------------
@@ -98,9 +98,43 @@ def _parse_scenario(raw: dict) -> tuple[ImpulseSystem, ConstraintSpec, dict]:
     else:
         cons = _parse_constraints(cons_obj, system, c)
 
-    task = dict(DEFAULT_TASK)
-    task.update(raw.get("task", {}))
-    return system, cons, task
+    return system, cons, _parse_task(raw.get("task", {}))
+
+
+def _task_value(key: str, value, count: bool) -> Number:
+    """A task count as an int (integral floats too), or a task number as
+    num_from_json reads it."""
+    if count and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int if count else (int, float, str)):
+        kind = "an integer" if count else "a number or a 'p/q' string"
+        raise SchemaError(f"task {key} must be {kind}, not {value!r}")
+    return num_from_json(value)
+
+
+def _parse_task(obj) -> dict:
+    """DEFAULT_TASK updated by a scenario's task block, each value checked and
+    typed; ranges (mesh >= 1, epsilon > 0, ...) are checked where values are used."""
+    if not isinstance(obj, dict) or not set(obj) <= set(DEFAULT_TASK):
+        raise SchemaError(f"task must be an object with keys among {sorted(DEFAULT_TASK)}, "
+                          f"not {obj!r}")
+    task = dict(DEFAULT_TASK, **obj)
+    for key in ("mesh", "directions", "t_grid", "samples", "seed"):
+        task[key] = _task_value(key, task[key], count=True)
+    task["epsilon"] = _task_value("epsilon", task["epsilon"], count=False)
+    if task["relaxation"] not in ("full", "partial"):
+        raise SchemaError(f"task relaxation must be 'full' or 'partial', "
+                          f"not {task['relaxation']!r}")
+    schedule = task["schedule"]
+    if schedule is not None:
+        if not isinstance(schedule, list) or any(
+                not isinstance(pair, list) or len(pair) != 2 for pair in schedule):
+            raise SchemaError(f"task schedule must be a list of [mesh, epsilon] pairs, "
+                              f"not {schedule!r}")
+        task["schedule"] = [(_task_value("schedule mesh", m, count=True),
+                             _task_value("schedule epsilon", e, count=False))
+                            for m, e in schedule]
+    return task
 
 
 def _parse_constraints(obj: dict, system: ImpulseSystem,
@@ -261,22 +295,16 @@ def run_scenario(path: str | Path, command: str, out: Optional[str] = None,
 
     if command in ("reach", "mp", "short-impulse"):
         if command == "reach":
-            if task["relaxation"] not in ("full", "partial"):
-                raise SchemaError(f"relaxation must be 'full' or 'partial', "
-                                  f"not {task['relaxation']!r}")
             J = frozenset(cons.J) if task["relaxation"] == "partial" else None
-            cfg = ReachConfig(int(task["mesh"]), num_from_json(task["epsilon"]),
-                              int(task["directions"]), J)
+            cfg = ReachConfig(task["mesh"], task["epsilon"], task["directions"], J)
             result = relaxed_reach(system, cons, cfg)
             payload = {"mesh": cfg.mesh, "epsilon": _fmt_num(cfg.epsilon),
                        "directions": cfg.directions,
                        "relaxation": task["relaxation"],
                        "feasible": not result.is_empty}
         elif command == "mp":
-            result = universal_mp(system, cons, int(task["t_grid"]),
-                                  int(task["directions"]))
-            payload = {"t_grid": int(task["t_grid"]),
-                       "directions": int(task["directions"]),
+            result = universal_mp(system, cons, task["t_grid"], task["directions"])
+            payload = {"t_grid": task["t_grid"], "directions": task["directions"],
                        "feasible": not result.is_empty}
         else:
             result = short_impulse_mp(system)
@@ -298,7 +326,7 @@ def run_scenario(path: str | Path, command: str, out: Optional[str] = None,
             raise SchemaError(f"bad measure file: {exc}") from exc
         if mu.domain != system.domain:
             raise SchemaError("measure domain differs from the scenario domain")
-        samples = int(task["samples"])
+        samples = task["samples"]
         if samples < 2:
             raise SchemaError("need at least 2 trajectory samples")
         rows = ["t,x1,x2"]
@@ -311,16 +339,13 @@ def run_scenario(path: str | Path, command: str, out: Optional[str] = None,
         return 0
 
     if command == "check":
-        schedule = task.get("schedule")
-        rows = run_battery(system, cons, int(task.get("seed", 0)))
+        rows = run_battery(system, cons, task["seed"])
         report = {"command": "check",
                   "results": [{"name": n, "passed": p, "detail": d}
                               for n, p, d in rows]}
-        if schedule is not None:
-            cc = coincidence_check(
-                system, cons,
-                [(int(m), num_from_json(e)) for m, e in schedule],
-                int(task["directions"]), int(task["t_grid"]))
+        if task["schedule"] is not None:
+            cc = coincidence_check(system, cons, task["schedule"], task["directions"],
+                                   task["t_grid"])
             report["coincidence"] = cc.to_json()
         _emit(dump_json(report), out)
         all_ok = all(p for _, p, _ in rows)
@@ -344,8 +369,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--svg", help="also render the set to this SVG file")
     parser.add_argument("--mesh", type=int)
     parser.add_argument("--epsilon", type=str)
-    parser.add_argument("--directions", type=int)
-    parser.add_argument("--t-grid", dest="t_grid", type=int)
+    parser.add_argument("--directions", type=int,
+                        help="at least 3; echoed in the output, shapes no set")
+    parser.add_argument("--t-grid", dest="t_grid", type=int,
+                        help="time grid of the mp set (also in check), at least 2 "
+                             "points; it adds samples only inside kernel pieces of "
+                             "degree >= 2")
     parser.add_argument("--measure", help="measure JSON file (traj)")
     parser.add_argument("--samples", type=int, help="trajectory sample count")
     parser.add_argument("--seed", type=int, help="random seed of the check battery")

@@ -47,10 +47,14 @@ class SideAtom:
 
     @staticmethod
     def make(loc: Number | str, side: Side | str, mass: Number) -> "SideAtom":
+        """side is a Side or, in any case, one of L, R, left and right."""
         if isinstance(side, str):
-            side = Side(side.upper()[:1])
+            names = {"l": Side.LEFT, "left": Side.LEFT, "r": Side.RIGHT, "right": Side.RIGHT}
+            if side.lower() not in names:
+                raise ValueError(f"atom side must be L, R, left or right, not {side!r}")
+            side = names[side.lower()]
         if not isinstance(side, Side):
-            raise TypeError(f"atom side must be 'L' or 'R', not {side!r}")
+            raise TypeError(f"atom side must be L, R, left or right, not {side!r}")
         return SideAtom(rat(loc), side, mass)
 
     def captured_by(self, cell: Cell) -> bool:

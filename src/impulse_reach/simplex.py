@@ -1,11 +1,10 @@
 """Dense two-phase simplex and the shadow-vertex sweep of the set projections.
 
 Problems here are tiny (a few dozen rows, up to about a thousand columns),
-so a plain dense tableau is plenty.  Both solvers take x >= 0 subject to
-A_eq x = b_eq, A_ub x <= b_ub and share one phase 1.
-
-solve_lp minimizes c.x with Dantzig pricing and a largest-pivot ratio
-tie-break; Bland's rule kicks in if the iteration count suggests cycling.
+so a plain dense tableau is plenty.  The sweep takes x >= 0 subject to
+A_eq x = b_eq, A_ub x <= b_ub.  Its phase 1 and its start at theta = 0 run
+one plain simplex: Dantzig pricing with a largest-pivot ratio tie-break,
+and Bland's rule once the iteration count suggests cycling.
 
 shadow_vertices is the parametric simplex of Gass and Saaty: it carries two
 cost rows through every pivot and walks, as theta runs once around the
@@ -17,7 +16,6 @@ set's image under that map, so the walk enumerates the polygon exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,15 +25,8 @@ from .errors import NumericError
 EPS = 1e-9
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
+INFEASIBLE = "infeasible"  # not returned here; the tests' LP and the bench tracer read it
 UNBOUNDED = "unbounded"
-
-
-@dataclass
-class LPResult:
-    status: str
-    x: Optional[np.ndarray]
-    value: float
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -93,30 +84,14 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int,
     raise NumericError("simplex iteration limit reached")
 
 
-def _standard_form(n: int, A_eq, b_eq, A_ub, b_ub) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Rows [A_ub I; A_eq 0] and their right-hand side, or None without rows."""
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    n_slack = 0 if A_ub is None else len(b_ub)
-
-    if A_ub is not None:
-        A_ub = np.asarray(A_ub, dtype=float)
-        for i in range(A_ub.shape[0]):
-            row = np.zeros(n + n_slack)
-            row[:n] = A_ub[i]
-            row[n + i] = 1.0
-            rows.append(row)
-            rhs.append(float(b_ub[i]))
-    if A_eq is not None:
-        A_eq = np.asarray(A_eq, dtype=float)
-        for i in range(A_eq.shape[0]):
-            row = np.zeros(n + n_slack)
-            row[:n] = A_eq[i]
-            rows.append(row)
-            rhs.append(float(b_eq[i]))
-    if not rows:
-        return None
-    return np.vstack(rows), np.asarray(rhs, dtype=float)
+def _standard_form(n: int, A_eq, b_eq, A_ub, b_ub) -> tuple[np.ndarray, np.ndarray]:
+    """Rows [A_ub I; A_eq 0] and their right-hand side."""
+    A_ub = np.empty((0, n)) if A_ub is None else np.asarray(A_ub, dtype=float)
+    A_eq = np.empty((0, n)) if A_eq is None else np.asarray(A_eq, dtype=float)
+    m = A_ub.shape[0]
+    A = np.vstack([np.hstack([A_ub, np.eye(m)]),
+                   np.hstack([A_eq, np.zeros((A_eq.shape[0], m))])])
+    return A, np.array([*(b_ub if m else ()), *(b_eq if A_eq.shape[0] else ())], dtype=float)
 
 
 def _phase1(A: np.ndarray, b: np.ndarray,
@@ -174,30 +149,6 @@ def _basic_solution(T: np.ndarray, basis: np.ndarray, n: int) -> np.ndarray:
     x = np.zeros(T.shape[1] - 1)
     x[basis] = T[:basis.size, -1]
     return x[:n]
-
-
-def solve_lp(c: Sequence[float],
-             A_eq: Optional[np.ndarray] = None, b_eq: Optional[Sequence[float]] = None,
-             A_ub: Optional[np.ndarray] = None, b_ub: Optional[Sequence[float]] = None,
-             ) -> LPResult:
-    c = np.asarray(c, dtype=float)
-    n = c.size
-    form = _standard_form(n, A_eq, b_eq, A_ub, b_ub)
-    if form is None:
-        if np.all(c >= -EPS):
-            return LPResult(OPTIMAL, np.zeros(n), 0.0)
-        return LPResult(UNBOUNDED, None, -np.inf)
-    A, b = form
-    max_iter = 200 * sum(A.shape)
-    start = _phase1(A, b, max_iter)
-    if start is None:
-        return LPResult(INFEASIBLE, None, np.inf)
-    rows, basis = start
-    T = _with_costs(rows, basis, [c])
-    if _run_simplex(T, basis, rows.shape[1] - 1, max_iter) == UNBOUNDED:
-        return LPResult(UNBOUNDED, None, -np.inf)
-    x = _basic_solution(T, basis, n)
-    return LPResult(OPTIMAL, x, float(c @ x))
 
 
 def shadow_vertices(c1: Sequence[float], c2: Sequence[float],

@@ -1,4 +1,4 @@
-"""Shared randomized generators for the test suite.
+"""Shared randomized generators and the reference LP solver of the test suite.
 
 Everything is driven by seeded random.Random instances so failures replay.
 """
@@ -7,10 +7,14 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
+import numpy as np
 import pytest
 
+from impulse_reach import simplex
 from impulse_reach.intervals import Cell, Interval, Partition, partition_from_cuts
 from impulse_reach.measures import FAMeasure, Side, SideAtom, indefinite
 from impulse_reach.piecewise import PiecewiseFn, step_function
@@ -127,3 +131,32 @@ def membership_samples(domain: Interval, *cells: Cell) -> list[Fraction]:
     ordered = sorted(pts)
     mids = [(a + b) / 2 for a, b in zip(ordered, ordered[1:])]
     return sorted(set(ordered + mids))
+
+
+# -- reference LP solver ------------------------------------------------------------
+
+
+@dataclass
+class LPResult:
+    status: str
+    x: Optional[np.ndarray]
+    value: float
+
+
+def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> LPResult:
+    """min c.x over x >= 0, A_eq x = b_eq, A_ub x <= b_ub (at least one row)
+    by one cold two-phase simplex on the sweep's own phase 1: the reference
+    for one support value of a set, one LP per direction."""
+    c = np.asarray(c, dtype=float)
+    n = c.size
+    A, b = simplex._standard_form(n, A_eq, b_eq, A_ub, b_ub)
+    max_iter = 200 * sum(A.shape)
+    start = simplex._phase1(A, b, max_iter)
+    if start is None:
+        return LPResult(simplex.INFEASIBLE, None, np.inf)
+    rows, basis = start
+    T = simplex._with_costs(rows, basis, [c])
+    if simplex._run_simplex(T, basis, rows.shape[1] - 1, max_iter) == simplex.UNBOUNDED:
+        return LPResult(simplex.UNBOUNDED, None, -np.inf)
+    x = simplex._basic_solution(T, basis, n)
+    return LPResult(simplex.OPTIMAL, x, float(c @ x))

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from impulse_reach import attainability
 from impulse_reach.attainability import (
     Arc,
     PlanarSet,
@@ -15,7 +16,6 @@ from impulse_reach.attainability import (
     _GL_NODES,
     _GL_WEIGHTS,
     _augmented_curve_samples,
-    _collinear_rows,
     _mesh_generators,
     _project,
     coincidence_check,
@@ -34,7 +34,9 @@ from impulse_reach.errors import DomainError, EmptySetError, PreconditionError
 from impulse_reach.intervals import Interval, eta, partition_from_cuts
 from impulse_reach.piecewise import LEFT, MAX_DEGREE, RIGHT, PiecewiseFn, integrate_eta
 from impulse_reach.rational import fmt_rat, num_from_json
-from impulse_reach.simplex import INFEASIBLE, OPTIMAL, solve_lp
+from impulse_reach.simplex import INFEASIBLE, OPTIMAL
+
+from conftest import solve_lp
 
 F = Fraction
 UNIT = Interval.make(0, 1)
@@ -694,8 +696,9 @@ def test_mesh_rows_match_exact_cell_averages(domain, exact, mesh, trials):
     rng = random.Random(f"{domain} {exact} {mesh}")
     for _ in range(trials):
         (sys, cons), (exact_sys, exact_cons) = random_rows_problem(rng, domain, mesh, exact)
-        assert_rows_close(_mesh_generators(sys, cons, mesh),
-                          reference_mesh_rows(exact_sys, exact_cons, mesh), sys, cons)
+        kept, rows = _mesh_generators(sys, cons, mesh)
+        assert_rows_close(rows, reference_mesh_rows(exact_sys, exact_cons, mesh)[kept],
+                          sys, cons)
 
 
 @pytest.mark.parametrize("t_grid_size", [2, 9, 65])
@@ -705,9 +708,18 @@ def test_curve_rows_match_exact_side_limits(domain, exact, t_grid_size):
     rng = random.Random(f"{domain} {exact} {t_grid_size}")
     for _ in range(20):
         (sys, cons), (exact_sys, exact_cons) = random_rows_problem(rng, domain, 8, exact)
-        assert_rows_close(_augmented_curve_samples(sys, cons, t_grid_size),
-                          reference_curve_rows(exact_sys, exact_cons, t_grid_size),
+        kept, rows = _augmented_curve_samples(sys, cons, t_grid_size)
+        assert_rows_close(rows, reference_curve_rows(exact_sys, exact_cons, t_grid_size)[kept],
                           sys, cons)
+
+
+@pytest.mark.parametrize("name", ["zigzag", "velocity_pin"])
+def test_affine_kernels_sample_only_the_breakpoint_limits(name):
+    # every kernel of both scenarios is affine, so grid samples never add a row
+    sys, cons, _ = load_scenario(SCENARIOS / f"{name}.json")
+    rows = [_augmented_curve_samples(sys, cons, t_grid)[1] for t_grid in (2, 65, 129)]
+    assert rows[0].shape == (4, len(sys.pi + cons.s))
+    assert all(np.array_equal(r, rows[0]) for r in rows[1:])
 
 
 @pytest.mark.parametrize("name", ["zigzag", "velocity_pin"])
@@ -845,28 +857,62 @@ def test_projection_supports_match_highs_on_random_clouds():
                 assert abs(got + res.fun) <= 1e-9 * max(1.0, abs(res.fun))
 
 
+def all_sites_rows(builder, *args):
+    """The program's rows at every site, with the pruning rule switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(attainability, "_kept_sites",
+                   lambda kernels, pieces, splits: np.ones(len(pieces[0]), dtype=bool))
+        return builder(*args)[1]
+
+
+def random_pruning_problem(rng, mesh, exact, builder, size):
+    """Degree 0-2 kernels, the program's rows at every site, and a system
+    whose one constraint box cuts the constraint coordinate's range."""
+    kernels = [random_kernel(rng, UNIT, mesh, exact, max_degree=2) for _ in range(3)]
+    sys = ImpulseSystem(UNIT.lo, UNIT.hi, F(3, 2), tuple(kernels[:2]))
+    rows = all_sites_rows(builder, sys,
+                          ConstraintSpec(tuple(kernels[2:]), (((None, None),),)), size)
+    lo, hi = sorted(rng.uniform(rows[:, 2].min(), rows[:, 2].max()) for _ in range(2))
+    return sys, ConstraintSpec(tuple(kernels[2:]), (((lo, hi),),)), rows
+
+
+def assert_same_set(pruned, full):
+    extent = max(1.0, float(np.max(np.abs(set_corners(full)))))
+    assert hausdorff_distance(pruned, full) <= 1e-9 * extent
+    assert pruned.to_json() == full.to_json()
+
+
 @pytest.mark.parametrize("mesh", [3, 16, 64])
 def test_pruned_rows_leave_reach_sets_unchanged(mesh):
     rng = random.Random(f"prune {mesh}")
     dropped = 0
     for trial in range(20):
-        kernels = [random_kernel(rng, UNIT, mesh, trial % 2 == 0, max_degree=2)
-                   for _ in range(3)]
-        sys = ImpulseSystem(UNIT.lo, UNIT.hi, F(3, 2), tuple(kernels[:2]))
-        rows = _mesh_generators(sys, ConstraintSpec(tuple(kernels[2:]), (((None, None),),)),
-                                mesh)
-        lo, hi = sorted(rng.uniform(rows[:, 2].min(), rows[:, 2].max()) for _ in range(2))
-        cons = ConstraintSpec(tuple(kernels[2:]), (((lo, hi),),))
-        cfg = ReachConfig(mesh, F(1, 100), 16)
-        mask = _collinear_rows(sys, cons, mesh)
-        for k in np.flatnonzero(mask):
+        sys, cons, rows = random_pruning_problem(rng, mesh, trial % 2 == 0,
+                                                 _mesh_generators, mesh)
+        kept, _ = _mesh_generators(sys, cons, mesh)
+        for k in np.flatnonzero(~kept):  # equally spaced midpoints
             middle = (rows[k - 1] + rows[k + 1]) / 2
             assert np.allclose(rows[k], middle, rtol=0, atol=1e-12), (trial, k)
-        dropped += int(mask.sum())
+        dropped += int((~kept).sum())
+        cfg = ReachConfig(mesh, F(1, 100), 16)
         boxes = [relax_box(box, cfg.epsilon, None) for box in cons.boxes]
-        pruned = relaxed_reach(sys, cons, cfg)
-        full = _project(rows, boxes, cfg.directions)
-        extent = max(1.0, float(np.max(np.abs(set_corners(full)))))
-        assert hausdorff_distance(pruned, full) <= 1e-9 * extent
-        assert pruned.to_json() == full.to_json()
+        assert_same_set(relaxed_reach(sys, cons, cfg), _project(rows, boxes, cfg.directions))
     assert dropped > 0 or mesh == 3
+
+
+@pytest.mark.parametrize("t_grid_size", [2, 9, 65])
+def test_pruned_rows_leave_mp_sets_unchanged(t_grid_size):
+    rng = random.Random(f"prune mp {t_grid_size}")
+    dropped = 0
+    for trial in range(20):
+        sys, cons, rows = random_pruning_problem(rng, 8, trial % 2 == 0,
+                                                 _augmented_curve_samples, t_grid_size)
+        kept, _ = _augmented_curve_samples(sys, cons, t_grid_size)
+        for k in np.flatnonzero(~kept):  # on the segment between its neighbours
+            a, d = rows[k - 1], rows[k + 1] - rows[k - 1]
+            s = np.clip((rows[k] - a) @ d / (d @ d), 0.0, 1.0) if d.any() else 0.0
+            assert np.max(np.abs(rows[k] - (a + s * d))) <= 1e-12, (trial, k)
+        dropped += int((~kept).sum())
+        assert_same_set(universal_mp(sys, cons, t_grid_size, 16),
+                        _project(rows, cons.boxes, 16))
+    assert dropped > 0 or t_grid_size == 2

@@ -136,7 +136,7 @@ def test_traj_command(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("side", ["", None, 1])
+@pytest.mark.parametrize("side", ["", None, 1, "rubbish", "lower", "Lx"])
 def test_traj_atom_with_bad_side_exits_2(tmp_path, side):
     path = write_scenario(tmp_path, c=CONST_C)
     measure = tmp_path / "measure.json"
@@ -218,6 +218,25 @@ def test_check_with_an_empty_schedule_exits_2(tmp_path, capsys):
     path = write_scenario(tmp_path, c=ZIGZAG_C, task={"schedule": []})
     assert main(["check", "--scenario", str(path)]) == 2
     assert "nonempty schedule" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task", [
+    {"mesh": None}, {"epsilon": None}, {"t_grid": [3]}, {"directions": None},
+    {"seed": None}, {"schedule": 5}, {"samples": None}, {"mesh": 64.7},
+    {"schedule": [[64.5, 0.05]]}, {"schedule": [[64, None]]}, {"t-grid": 9}],
+    ids=lambda task: json.dumps(task))
+def test_a_wrongly_typed_or_unknown_task_value_exits_2(tmp_path, capsys, task):
+    path = write_scenario(tmp_path, c=ZIGZAG_C, task=task)
+    measure = tmp_path / "measure.json"
+    measure.write_text(dump_json({
+        "density": {"breakpoints": ["0", "1"], "pieces": [[0]], "point_values": [0, 0]},
+        "atoms": []}))
+    for command in ("reach", "mp", "check", "traj"):
+        out = tmp_path / f"{command}.out"
+        assert main([command, "--scenario", str(path), "--measure", str(measure),
+                     "--out", str(out)]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: task ") and not out.exists()
 
 
 @pytest.mark.parametrize("relaxation", ["parital", "Full", None])

@@ -318,8 +318,11 @@ def test_measure_json_roundtrip(rng):
 
 
 def test_side_atom_rejects_a_side_that_is_not_l_or_r():
-    assert SideAtom.make("1/2", "right", 1).side is Side.RIGHT
-    for side in ("", "x"):
+    for side in ("right", "R", "r", "RIGHT", "Right"):
+        assert SideAtom.make("1/2", side, 1).side is Side.RIGHT
+    for side in ("left", "L", "l", "LEFT", "Left"):
+        assert SideAtom.make("1/2", side, 1).side is Side.LEFT
+    for side in ("", "x", "rubbish", "lower", "Lx", "r ", "lef"):
         with pytest.raises(ValueError):
             SideAtom.make("1/2", side, 1)
     for side in (None, 1):

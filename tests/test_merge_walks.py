@@ -1,8 +1,9 @@
 """The merge-walk primitives against the scan-based code they replace.
 
 Each reference below is the earlier implementation, kept as the oracle in
-the way `solve_lp` serves the shadow-vertex sweep: it evaluates or scans
-every point and cell pair, so it is slow but plainly right.  Every rewrite
+the way conftest's `solve_lp`, one cold LP per direction, serves the
+shadow-vertex sweep: it evaluates or scans every point and cell pair, so it
+is slow but plainly right.  Every rewrite
 must agree with it exactly on seeded random inputs: equal Fractions, the
 same float bits and the same errors.
 """

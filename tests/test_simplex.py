@@ -4,8 +4,11 @@ import random
 import numpy as np
 import pytest
 
+from impulse_reach import simplex
 from impulse_reach.errors import NumericError
-from impulse_reach.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, shadow_vertices, solve_lp
+from impulse_reach.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, shadow_vertices
+
+from conftest import solve_lp
 
 
 def brute_force_min(c, A_eq, b_eq, A_ub, b_ub):
@@ -114,6 +117,43 @@ def test_random_lps_against_vertex_enumeration():
         else:
             assert res.status == OPTIMAL
             assert res.value == pytest.approx(oracle, abs=1e-7)
+
+
+def slack_tableau(c, A_ub, b_ub):
+    """min c.x over x >= 0, A_ub x <= b_ub with b_ub >= 0, as a tableau on
+    the slack basis, which is feasible: the rows [A_ub I b_ub], then c."""
+    m, n = A_ub.shape
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n], T[:m, n:n + m], T[:m, -1] = A_ub, np.eye(m), b_ub
+    T[-1, :n] = c
+    return T, n + np.arange(m)
+
+
+# max x1 + 2 x2 + 3 x3 over x <= 1: Dantzig's rule takes three pivots
+BOX_LP = ([-1.0, -2.0, -3.0], np.eye(3), [1.0, 1.0, 1.0])
+
+
+def test_bland_rule_takes_over_and_still_reaches_the_optimum(monkeypatch):
+    rules = []
+    leaving_row = simplex._leaving_row
+
+    def recorded(T, basis, col, bland):
+        rules.append(bland)
+        return leaving_row(T, basis, col, bland)
+
+    monkeypatch.setattr(simplex, "_leaving_row", recorded)
+    c, A_ub, b_ub = BOX_LP
+    T, basis = slack_tableau(c, A_ub, b_ub)
+    # max_iter 5 hands over to Bland's rule after two Dantzig pivots
+    assert simplex._run_simplex(T, basis, T.shape[1] - 1, 5) == OPTIMAL
+    assert rules == [False, False, True]
+    assert -T[-1, -1] == pytest.approx(brute_force_min(c, None, None, A_ub, b_ub))
+
+
+def test_simplex_raises_at_the_iteration_limit():
+    T, basis = slack_tableau(*BOX_LP)
+    with pytest.raises(NumericError, match="iteration limit"):
+        simplex._run_simplex(T, basis, T.shape[1] - 1, 2)
 
 
 def sweep_points(points, A_ub=None, b_ub=None):
