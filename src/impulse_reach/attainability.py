@@ -128,19 +128,27 @@ class ReachConfig:
 def convex_hull_2d(points: Sequence[Sequence[float]]) -> list[tuple[float, float]]:
     """Monotone chain; returns counterclockwise vertices, collinear dropped.
 
-    The chain pops only straight steps and right turns.  One cyclic pass
-    then drops each vertex that lies between its neighbours within the
-    tolerance.  Inside the sorted chain, the tolerance could pop the true
-    end of a near-vertical edge.
+    The chain pops only straight steps and right turns.  A second pass then
+    drops each vertex that lies between its neighbours within a tolerance
+    relative to the points' extent, judging every vertex against the
+    neighbours that survive: a stack, then a recheck across the wrap-around.
+    A true corner that the chain visits twice, 1 ulp apart, so keeps one of
+    the pair.  Inside the sorted chain, the tolerance could pop the true end
+    of a near-vertical edge.
     """
     pts = sorted({(float(p[0]), float(p[1])) for p in points})
     if len(pts) <= 2:
         return pts
-    scale = max(max(abs(x), abs(y)) for x, y in pts) + 1.0
+    scale = max(max(abs(x), abs(y)) for x, y in pts)
     eps = 1e-12 * scale * scale
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def between(o, p, b):
+        """p lies on the segment from o to b, within the tolerance."""
+        return ((p[0] - o[0]) * (b[0] - p[0]) + (p[1] - o[1]) * (b[1] - p[1]) >= 0
+                and cross(o, p, b) <= eps)
 
     lower: list[tuple[float, float]] = []
     for p in pts:
@@ -152,14 +160,18 @@ def convex_hull_2d(points: Sequence[Sequence[float]]) -> list[tuple[float, float
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    hull = lower[:-1] + upper[:-1]
     kept: list[tuple[float, float]] = []
-    for i, p in enumerate(hull):
-        o = kept[-1] if kept else hull[-1]
-        b = hull[(i + 1) % len(hull)]
-        between = (p[0] - o[0]) * (b[0] - p[0]) + (p[1] - o[1]) * (b[1] - p[1]) >= 0
-        if not (between and cross(o, p, b) <= eps):
-            kept.append(p)
+    for p in lower[:-1] + upper[:-1]:
+        while len(kept) >= 2 and between(kept[-2], kept[-1], p):
+            kept.pop()
+        kept.append(p)
+    while len(kept) >= 3:
+        if between(kept[-2], kept[-1], kept[0]):
+            kept.pop()
+        elif between(kept[-1], kept[0], kept[1]):
+            kept.pop(0)
+        else:
+            break
     return kept
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Iterable
 
 from .dynamics import ConstraintSpec, ImpulseSystem, gen_moments, moments
 from .intervals import (
@@ -39,21 +40,31 @@ from .piecewise import (
 CheckRow = tuple[str, bool, str]
 
 
-def _rand_rat(rng: random.Random, lo: Fraction, span: Fraction) -> Fraction:
-    """lo + (k/den)·span for a random den in 2..16 and a random k in [0, den].
+# Every draw is lo + (k/den)·span for a random den in DENS and k in [0, den],
+# so it is the point m/LATTICE of the span for the lattice index
+# m = k·(LATTICE/den).  Draws are compared, deduplicated and sorted as these
+# ints, and each kept one becomes a Fraction once.
+DENS = (2, 3, 4, 6, 8, 16)
+LATTICE = 48
 
-    Built as one Fraction, so it is normalized once.
-    """
-    den = rng.choice((2, 3, 4, 6, 8, 16))
-    k = rng.randint(0, den)
-    return Fraction(lo.numerator * span.denominator * den + k * span.numerator * lo.denominator,
-                    lo.denominator * span.denominator * den)
+
+def _rand_index(rng: random.Random) -> int:
+    den = rng.choice(DENS)
+    return rng.randint(0, den) * (LATTICE // den)
+
+
+def _lattice_points(dom: Interval, indices: Iterable[int]) -> list[Fraction]:
+    """lo + (m/LATTICE)·span for each lattice index m, in the given order."""
+    (a, b), (c, d) = dom.lo.as_integer_ratio(), dom.hi.as_integer_ratio()
+    span = c * b - a * d
+    return [Fraction(LATTICE * a * d + m * span, LATTICE * b * d) for m in indices]
 
 
 def _rand_cuts(rng: random.Random, dom: Interval, count: int) -> list[Fraction]:
-    span = dom.length
-    return sorted({_rand_rat(rng, dom.lo, span) for _ in range(count)}
-                  - {dom.lo, dom.hi})
+    """count draws on the domain, of positive length, sorted and distinct,
+    its endpoints dropped."""
+    indices = {_rand_index(rng) for _ in range(count)}
+    return _lattice_points(dom, sorted(m for m in indices if 0 < m < LATTICE))
 
 
 def _rand_step(rng: random.Random, dom: Interval, nonneg: bool) -> PiecewiseFn:
@@ -71,14 +82,14 @@ def _rand_measure(rng: random.Random, dom: Interval, nonneg: bool) -> FAMeasure:
     atoms = []
     seen = set()
     for _ in range(rng.randint(0, 2)):
-        loc = _rand_rat(rng, dom.lo, dom.length)
+        m = _rand_index(rng)
         side = rng.choice((Side.LEFT, Side.RIGHT))
-        if (side is Side.LEFT and loc <= dom.lo) or \
-           (side is Side.RIGHT and loc >= dom.hi) or (loc, side) in seen:
+        if (side is Side.LEFT and m == 0) or \
+           (side is Side.RIGHT and m == LATTICE) or (m, side) in seen:
             continue
-        seen.add((loc, side))
+        seen.add((m, side))
         mass = Fraction(rng.randint(0 if nonneg else -3, 3), rng.choice((1, 2)))
-        atoms.append(SideAtom(loc, side, mass))
+        atoms.append(SideAtom(_lattice_points(dom, (m,))[0], side, mass))
     return FAMeasure(_rand_step(rng, dom, nonneg), FAMeasure.sort_atoms(atoms))
 
 
@@ -168,7 +179,7 @@ def run_battery(sys: ImpulseSystem, cons: ConstraintSpec,
     ok, tried = True, 0
     for _ in range(50):
         mu = _rand_measure(rng, dom, nonneg=False)
-        pts = {_rand_rat(rng, dom.lo, dom.length) for _ in range(3)}
+        pts = _lattice_points(dom, sorted({_rand_index(rng) for _ in range(3)}))
         null = Cell.from_intervals([Interval(t, t) for t in pts])
         tried += 1
         if eval_cell(mu, null) != 0:

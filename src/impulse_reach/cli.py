@@ -172,8 +172,10 @@ def _parse_constraints(obj: dict, system: ImpulseSystem,
         boxes = tuple(
             tuple((_opt_bound(lo), _opt_bound(hi)) for lo, hi in box)
             for box in boxes_obj)
-    J = frozenset(int(j) for j in obj.get("J", []))
-    return ConstraintSpec(kernels, boxes, J)
+    J = obj.get("J", [])
+    if not isinstance(J, list) or any(isinstance(j, bool) or not isinstance(j, int) for j in J):
+        raise SchemaError(f"constraint J must be a list of integer indices, not {J!r}")
+    return ConstraintSpec(kernels, boxes, frozenset(J))
 
 
 # -- output ------------------------------------------------------------------------

@@ -9,7 +9,9 @@ direction are computed without tolerances.
 Internally every interval is handled as a half-open range of "cuts": a cut
 (t, 0) sits immediately at/below the point t and (t, 1) immediately above
 it.  [lo, hi) becomes [(lo, 0), (hi, 0)); {t} becomes [(t, 0), (t, 1)).
-Set operations then reduce to merge scans over sorted cut ranges.
+Set operations then reduce to merge scans over sorted cut ranges.  The scans
+compare cuts as integers: over the common denominator D of the endpoints
+involved, the cut (t, s) has the key 2·t·D + s, and keys order as cuts do.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from math import lcm
+from typing import Iterable, Sequence
 
 from .errors import DomainError
 from .rational import Number, rat
@@ -35,8 +38,10 @@ class Interval:
     def __post_init__(self) -> None:
         if not isinstance(self.lo, Fraction) or not isinstance(self.hi, Fraction):
             raise TypeError("interval endpoints must be Fractions; use Interval.make")
-        if not self.lo < self.hi:
-            if self.lo > self.hi:
+        (ln, ld), (hn, hd) = self.lo.as_integer_ratio(), self.hi.as_integer_ratio()
+        lo, hi = ln * hd, hn * ld
+        if not lo < hi:
+            if lo > hi:
                 raise DomainError(f"empty interval: lo={self.lo} > hi={self.hi}")
             if not (self.lo_closed and self.hi_closed):
                 raise DomainError("a singleton interval must be closed on both sides")
@@ -72,17 +77,36 @@ def _interval_from_cuts(start: Cut, end: Cut) -> Interval:
     return Interval(start[0], end[0], start[1] == 0, end[1] == 1)
 
 
-def _merge_ranges(ranges: list[tuple[Cut, Cut]]) -> list[tuple[Cut, Cut]]:
-    """Sort, drop empties, and merge overlapping/adjacent cut ranges."""
-    ranges = sorted(r for r in ranges if r[0] < r[1])
-    merged: list[tuple[Cut, Cut]] = []
-    for start, end in ranges:
+def _range_keys(parts: Sequence[Interval]) -> list[tuple[int, int]]:
+    """The integer keys 2·t·D + s of each part's start and end cuts (t, s),
+    D the least common denominator of all the parts' endpoints."""
+    ratios = [(p.lo.as_integer_ratio(), p.hi.as_integer_ratio()) for p in parts]
+    den = lcm(*[d for (_, ld), (_, hd) in ratios for d in (ld, hd)])
+    return [(2 * ln * (den // ld) + (not p.lo_closed), 2 * hn * (den // hd) + p.hi_closed)
+            for p, ((ln, ld), (hn, hd)) in zip(parts, ratios)]
+
+
+def _cut_le(a: Cut, b: Cut) -> bool:
+    """a <= b, with the times compared as cross-multiplied integers."""
+    (an, ad), (bn, bd) = a[0].as_integer_ratio(), b[0].as_integer_ratio()
+    x, y = an * bd, bn * ad
+    return x < y or (x == y and a[1] <= b[1])
+
+
+def _merge_parts(parts: Iterable[Interval]) -> list[Interval]:
+    """The union of the intervals as sorted, disjoint, non-adjacent intervals."""
+    parts = list(parts)
+    merged: list[list] = []  # [start key, end key, first part, part of the end]
+    for start, end, _, part in sorted((*keys, i, p) for i, (keys, p)
+                                      in enumerate(zip(_range_keys(parts), parts))):
         if merged and start <= merged[-1][1]:
-            prev_start, prev_end = merged[-1]
-            merged[-1] = (prev_start, max(prev_end, end))
+            if end > merged[-1][1]:
+                merged[-1][1], merged[-1][3] = end, part
         else:
-            merged.append((start, end))
-    return merged
+            merged.append([start, end, part, part])
+    return [first if first is last else
+            Interval(first.lo, last.hi, first.lo_closed, last.hi_closed)
+            for _, _, first, last in merged]
 
 
 @dataclass(frozen=True)
@@ -93,13 +117,12 @@ class Cell:
 
     def __post_init__(self) -> None:
         for prev, cur in zip(self.parts, self.parts[1:]):
-            if cur.start_cut <= prev.end_cut:
+            if _cut_le(cur.start_cut, prev.end_cut):
                 raise DomainError("cell parts must be disjoint, sorted, non-adjacent")
 
     @staticmethod
     def from_intervals(intervals: Iterable[Interval]) -> "Cell":
-        ranges = _merge_ranges([(iv.start_cut, iv.end_cut) for iv in intervals])
-        return Cell(tuple(_interval_from_cuts(s, e) for s, e in ranges))
+        return Cell(tuple(_merge_parts(intervals)))
 
     @property
     def is_empty(self) -> bool:
@@ -158,25 +181,28 @@ class Partition:
     def __post_init__(self) -> None:
         if not self.cells:
             raise DomainError("partition needs at least one cell")
-        ranges: list[tuple[Cut, Cut]] = []
-        for cell in self.cells:
-            if cell.is_empty:
-                raise DomainError("partition cells must be nonempty")
-            ranges.extend(cell.cut_ranges)
+        if any(cell.is_empty for cell in self.cells):
+            raise DomainError("partition cells must be nonempty")
+        ranges = _range_keys([self.domain, *(p for cell in self.cells for p in cell.parts)])
+        start, end = ranges.pop(0)
         ranges.sort()
         for (_, prev_end), (cur_start, _) in zip(ranges, ranges[1:]):
             if cur_start < prev_end:
                 raise DomainError("partition cells overlap")
             if cur_start > prev_end:
                 raise DomainError("partition cells leave a gap in the domain")
-        if ranges[0][0] != self.domain.start_cut or ranges[-1][1] != self.domain.end_cut:
+        if ranges[0][0] != start or ranges[-1][1] != end:
             raise DomainError("partition cells do not cover the domain exactly")
 
 
-def _indexed_ranges(p: Partition) -> list[tuple[Cut, Cut, int]]:
-    """Every cut range of the partition with its cell index, sorted by start."""
-    return sorted(((start, end, k) for k, cell in enumerate(p.cells)
-                   for start, end in cell.cut_ranges), key=lambda r: r[0])
+def _indexed_ranges(*partitions: Partition) -> list[list[tuple[int, int, int, Interval]]]:
+    """Per partition, (start key, end key, cell index, part) for each of its
+    parts, sorted by start; the keys of all the partitions share one
+    denominator, so they order cuts across partitions."""
+    owned = [[(k, part) for k, cell in enumerate(p.cells) for part in cell.parts]
+             for p in partitions]
+    keys = iter(_range_keys([part for parts in owned for _, part in parts]))
+    return [sorted((*next(keys), k, part) for k, part in parts) for parts in owned]
 
 
 def is_finer(fine: Partition, coarse: Partition) -> bool:
@@ -188,15 +214,13 @@ def is_finer(fine: Partition, coarse: Partition) -> bool:
     """
     if fine.domain != coarse.domain:
         raise DomainError("partitions must share a domain")
-    ranges = _indexed_ranges(coarse)
-    starts = [start for start, _, _ in ranges]
-    for small in fine.cells:
-        owner = None
-        for start, end in small.cut_ranges:
-            _, big_end, k = ranges[bisect_right(starts, start) - 1]
-            if end > big_end or owner not in (None, k):
-                return False
-            owner = k
+    small, ranges = _indexed_ranges(fine, coarse)
+    starts = [start for start, _, _, _ in ranges]
+    owner: dict[int, int] = {}
+    for start, end, cell, _ in small:
+        _, big_end, k, _ = ranges[bisect_right(starts, start) - 1]
+        if end > big_end or owner.setdefault(cell, k) != k:
+            return False
     return True
 
 
@@ -208,16 +232,19 @@ def common_refinement(a: Partition, b: Partition) -> Partition:
     """
     if a.domain != b.domain:
         raise DomainError("partitions must share a domain")
-    ra, rb = _indexed_ranges(a), _indexed_ranges(b)
+    ra, rb = _indexed_ranges(a, b)
     meets: dict[tuple[int, int], list[Interval]] = {}
     i = j = 0
     while i < len(ra) and j < len(rb):
-        start = max(ra[i][0], rb[j][0])
-        end = min(ra[i][1], rb[j][1])
-        if start < end:
-            meets.setdefault((ra[i][2], rb[j][2]), []).append(
-                _interval_from_cuts(start, end))
-        if ra[i][1] <= rb[j][1]:
+        a_start, a_end, ka, pa = ra[i]
+        b_start, b_end, kb, pb = rb[j]
+        if max(a_start, b_start) < min(a_end, b_end):
+            first = pa if a_start >= b_start else pb
+            last = pa if a_end <= b_end else pb
+            meets.setdefault((ka, kb), []).append(
+                first if first is last else
+                Interval(first.lo, last.hi, first.lo_closed, last.hi_closed))
+        if a_end <= b_end:
             i += 1
         else:
             j += 1
@@ -231,9 +258,12 @@ def partition_from_cuts(domain: Interval, cuts: Iterable[Number | str]) -> Parti
     domain's own endpoint kinds; a Left atom at a cut is captured by the cell
     to its left and a Right atom by the cell to its right.
     """
-    inner = sorted({t for t in map(rat, cuts) if domain.lo < t < domain.hi})
+    times = [rat(t) for t in cuts]
+    den = lcm(domain.lo.denominator, domain.hi.denominator, *[t.denominator for t in times])
+    lo, hi = (t.numerator * (den // t.denominator) for t in (domain.lo, domain.hi))
+    inner = {t.numerator * (den // t.denominator): t for t in times}
     bounds: list[Cut] = [domain.start_cut]
-    bounds += [(t, 0) for t in inner]
+    bounds += [(inner[key], 0) for key in sorted(inner) if lo < key < hi]
     bounds.append(domain.end_cut)
     cells = [Cell((_interval_from_cuts(s, e),)) for s, e in zip(bounds, bounds[1:])]
     return Partition(tuple(cells), domain)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .errors import CapacityError, DomainError
@@ -58,16 +59,16 @@ class SideAtom:
         return SideAtom(rat(loc), side, mass)
 
     def captured_by(self, cell: Cell) -> bool:
-        """True iff the cell contains a one-sided neighborhood of loc."""
-        t = self.loc
-        if self.side is Side.LEFT:
-            for start, end in cell.cut_ranges:
-                if start < (t, 0) <= end:
-                    return True
-        else:
-            for start, end in cell.cut_ranges:
-                if start <= (t, 1) < end:
-                    return True
+        """True iff the cell contains a one-sided neighborhood of loc: a part
+        with lo < loc <= hi for a Left atom, lo <= loc < hi for a Right one.
+        The times are compared as cross-multiplied integers."""
+        n, d = self.loc.as_integer_ratio()
+        left = self.side is Side.LEFT
+        for part in cell.parts:
+            (ln, ld), (hn, hd) = part.lo.as_integer_ratio(), part.hi.as_integer_ratio()
+            lo, t_lo, t_hi, hi = ln * d, n * ld, n * hd, hn * d
+            if (lo < t_lo and t_hi <= hi) if left else (lo <= t_lo and t_hi < hi):
+                return True
         return False
 
     @staticmethod
@@ -83,22 +84,27 @@ class FAMeasure:
     def __post_init__(self) -> None:
         if not self.density.is_step:
             raise CapacityError("measure densities must be step functions")
-        dom = self.density.domain
+        bps = self.density.breakpoints
+        (an, ad), (bn, bd) = bps[0].as_integer_ratio(), bps[-1].as_integer_ratio()
         keys = set()
         prev = None
         for atom in self.atoms:
-            key = (atom.loc, atom.side.value)
+            n, d = atom.loc.as_integer_ratio()  # normalized, so equal locs give equal keys
+            key = (n, d, atom.side.value)
             if key in keys:
                 raise DomainError("duplicate atom key")
             keys.add(key)
-            if prev is not None and key < prev:
-                raise DomainError("atoms must be sorted by (loc, side)")
+            if prev is not None:
+                x, y = prev[0] * d, n * prev[1]
+                if y < x or (y == x and key[2] < prev[2]):
+                    raise DomainError("atoms must be sorted by (loc, side)")
             prev = key
-            if atom.side is Side.LEFT and atom.loc <= dom.lo:
+            above_t0, below_theta0 = an * d < n * ad, n * bd < bn * d
+            if atom.side is Side.LEFT and not above_t0:
                 raise DomainError("Left atom needs loc > t0")
-            if atom.side is Side.RIGHT and atom.loc >= dom.hi:
+            if atom.side is Side.RIGHT and not below_theta0:
                 raise DomainError("Right atom needs loc < theta0")
-            if not (dom.lo <= atom.loc <= dom.hi):
+            if n * ad < an * d or bn * d < n * bd:
                 raise DomainError("atom outside domain")
 
     @staticmethod
@@ -160,13 +166,26 @@ def eval_cell(mu: FAMeasure, a: Cell) -> Number:
 
 
 def variation(mu: FAMeasure) -> Number:
-    """Total variation: integral of |density| plus the atoms' |mass| sum."""
-    total: Number = 0
-    for lo, hi, value in step_values(mu.density):
-        total += abs(value) * (hi - lo)
-    for atom in mu.atoms:
-        total += abs(atom.mass)
-    return total
+    """Total variation: integral of |density| plus the atoms' |mass| sum.
+
+    An exact measure sums integer numerators over one common denominator.
+    """
+    steps = step_values(mu.density)
+    if not mu.is_exact:
+        total: Number = 0
+        for lo, hi, value in steps:
+            total += abs(value) * (hi - lo)
+        for atom in mu.atoms:
+            total += abs(atom.mass)
+        return total
+    terms = []
+    for lo, hi, value in steps:
+        (a, b), (c, d), (p, q) = (lo.as_integer_ratio(), hi.as_integer_ratio(),
+                                  value.as_integer_ratio())
+        terms.append((abs(p) * (c * b - a * d), q * b * d))
+    terms += [(abs(n), d) for n, d in (atom.mass.as_integer_ratio() for atom in mu.atoms)]
+    den = lcm(*[d for _, d in terms])
+    return Fraction(sum(n * (den // d) for n, d in terms), den)
 
 
 def membership_xi(mu: FAMeasure, b: Number) -> bool:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -65,12 +66,6 @@ def poly_add(a: Sequence[Number], b: Sequence[Number], alpha=1, beta=1) -> Coeff
     return _trim(out)
 
 
-def poly_antiderivative(coeffs: Sequence[Number]) -> Coeffs:
-    """The antiderivative vanishing at 0, over the exact value of every coefficient."""
-    return (Fraction(0),) + tuple((c if isinstance(c, Fraction) else Fraction(c)) / (k + 1)
-                                  for k, c in enumerate(coeffs))
-
-
 @dataclass(frozen=True)
 class PiecewiseFn:
     breakpoints: tuple[Fraction, ...]
@@ -83,7 +78,8 @@ class PiecewiseFn:
             raise DomainError("need at least the two domain endpoints")
         if any(not isinstance(b, Fraction) for b in bps):
             raise TypeError("breakpoints must be Fractions")
-        if any(a >= b for a, b in zip(bps, bps[1:])):
+        ratios = [b.as_integer_ratio() for b in bps]
+        if any(an * bd >= bn * ad for (an, ad), (bn, bd) in zip(ratios, ratios[1:])):
             raise DomainError("breakpoints must be strictly increasing")
         if len(self.pieces) != len(bps) - 1:
             raise DomainError("need one piece per breakpoint gap")
@@ -285,8 +281,22 @@ def sup_norm(f: PiecewiseFn) -> Number:
 
     Per piece the closure max is taken over the gap endpoints plus the real
     critical points of the polynomial (derivative roots; numeric for
-    degree >= 3 derivatives).
+    degree >= 3 derivatives).  The first largest candidate, in the order
+    point values, then each piece's ends and critical points, is returned;
+    an exact step function finds it by comparing integers over one
+    denominator.
     """
+    if f.is_step and f.is_exact:
+        values = [*f.point_values, *(cs[0] for cs in f.pieces)]
+        ratios = [v.as_integer_ratio() for v in values]
+        den = lcm(*[d for _, d in ratios])
+        keys = [abs(n) * (den // d) for n, d in ratios]
+        top = max(keys)
+        if top == 0:
+            return 0
+        i = keys.index(top)
+        k = i - len(f.point_values)
+        return abs(values[i]) if k < 0 else abs(poly_eval(f.pieces[k], f.breakpoints[k]))
     best: Number = 0
     for v in f.point_values:
         best = max(best, abs(v))
@@ -307,36 +317,112 @@ def sup_norm(f: PiecewiseFn) -> Number:
     return best
 
 
-def _integrate_gaps(bps: Sequence[Fraction], piece: Callable[[int], Coeffs],
-                    a: Cell) -> Number:
+def _ratio_piece(coeffs: Sequence[Number]) -> tuple[list[int], int, bool]:
+    """(A, q, has_float): the coefficients' exact values as A[k] / q, over one
+    denominator, and whether any of them is a float."""
+    if len(coeffs) == 1:
+        c = coeffs[0]
+        n, q = c.as_integer_ratio()
+        return [n], q, isinstance(c, float)
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    q = lcm(*[d for _, d in ratios])
+    return ([n * (q // d) for n, d in ratios], q,
+            any(isinstance(c, float) for c in coeffs))
+
+
+def _product_piece(a: Coeffs, b: Coeffs) -> tuple[list[int], int, bool]:
+    """_ratio_piece(poly_mul(a, b)); exact pieces multiply as integers."""
+    if any(isinstance(c, float) for c in a) or any(isinstance(c, float) for c in b):
+        return _ratio_piece(poly_mul(a, b))
+    xs, p, _ = _ratio_piece(a)
+    ys, q, _ = _ratio_piece(b)
+    if len(xs) == 1 and len(ys) == 1:
+        return [xs[0] * ys[0]], p * q, False
+    out = [0] * (len(xs) + len(ys) - 1)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            out[i + j] += x * y
+    return out, p * q, False
+
+
+# _ANTI[n] = (m, (m // 1, ..., m // n)) with m = lcm(1, ..., n): the
+# antiderivative of sum_k A[k] t^k over q is sum_k A[k] (m // (k+1)) t^(k+1)
+# over q m.
+_ANTI = [(lcm(*range(1, n + 1)), tuple(lcm(*range(1, n + 1)) // (k + 1) for k in range(n)))
+         for n in range(MAX_DEGREE + 2)]
+
+
+def _bisect_ratio(bps: Sequence[tuple[int, int]], n: int, d: int) -> int:
+    """bisect_right for the value n/d on breakpoints given as (numerator, denominator)."""
+    lo, hi = 0, len(bps)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        bn, bd = bps[mid]
+        if n * bd < bn * d:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _integrate_gaps(bps: Sequence[tuple[int, int]],
+                    piece: Callable[[int], tuple[list[int], int, bool]], a: Cell) -> Number:
     """Integral over the cell of the function whose k-th gap carries piece(k).
 
-    Each coefficient is integrated at its exact value; the total is rounded
-    to float once iff a piece the cell meets has a float coefficient.
+    Breakpoints come as (numerator, denominator) pairs and pieces as
+    _ratio_piece gives them.  Each gap [c, s] the cell meets adds
+    sum_k A[k] / (q (k+1)) (s^(k+1) - c^(k+1)) to one running integer
+    numerator and denominator; the total is rounded to float once iff one of
+    those pieces has a float coefficient.
     """
-    if not a.within(Interval(bps[0], bps[-1])):
-        raise DomainError("integration cell must lie in the domain")
-    total = Fraction(0)
+    parts = a.parts
+    if parts:
+        (an, ad), (bn, bd) = parts[0].lo.as_integer_ratio(), parts[-1].hi.as_integer_ratio()
+        (un, ud), (vn, vd) = bps[0], bps[-1]
+        if an * ud < un * ad or vn * bd < bn * vd:
+            raise DomainError("integration cell must lie in the domain")
+    num, den = 0, 1
     rounded = False
-    for part in a.parts:
-        lo, hi = part.lo, part.hi
+    for part in parts:
+        lo, hi = part.lo.as_integer_ratio(), part.hi.as_integer_ratio()
         if lo == hi:
             continue
-        i = bisect_right(bps, lo) - 1
-        cursor = lo
-        while cursor < hi:
-            seg_hi = min(hi, bps[i + 1])
-            coeffs = piece(i)
-            rounded = rounded or any(isinstance(c, float) for c in coeffs)
+        hn, hd = hi
+        cn, cd = lo
+        i = _bisect_ratio(bps, cn, cd) - 1
+        while True:
+            sn, sd = bps[i + 1]
+            last = hn * sd <= sn * hd
+            if last:
+                sn, sd = hn, hd
+            coeffs, q, has_float = piece(i)
+            rounded = rounded or has_float
             if len(coeffs) == 1:
-                c = coeffs[0]
-                total += (c if isinstance(c, Fraction) else Fraction(c)) * (seg_hi - cursor)
+                seg_num, seg_den = coeffs[0] * (sn * cd - cn * sd), sd * cd * q
             else:
-                anti = poly_antiderivative(coeffs)
-                total += poly_eval(anti, seg_hi) - poly_eval(anti, cursor)
-            cursor = seg_hi
+                m, scale = _ANTI[len(coeffs)]
+                # Horner on the antiderivative at s = sn/sd and c = cn/cd, each
+                # scaled by its denominator to the power len(coeffs)
+                hs = hc = 0
+                ps = pc = 1
+                for k in range(len(coeffs) - 1, -1, -1):
+                    e = coeffs[k] * scale[k]
+                    hs = hs * sn + e * ps
+                    hc = hc * cn + e * pc
+                    ps *= sd
+                    pc *= cd
+                seg_num, seg_den = hs * sn * pc - hc * cn * ps, ps * pc * q * m
+            if seg_den == den:
+                num += seg_num
+            else:
+                g = gcd(den, seg_den)
+                num = num * (seg_den // g) + seg_num * (den // g)
+                den = den // g * seg_den
+            if last:
+                break
+            cn, cd = sn, sd
             i += 1
-    return float(total) if rounded else total
+    return num / den if rounded else Fraction(num, den)
 
 
 def integrate_eta(f: PiecewiseFn, a: Cell) -> Number:
@@ -345,21 +431,24 @@ def integrate_eta(f: PiecewiseFn, a: Cell) -> Number:
     Float coefficients are integrated at their exact values and the total is
     rounded to float once, so the result is the correctly rounded integral.
     """
-    return _integrate_gaps(f.breakpoints, f.pieces.__getitem__, a)
+    pieces = f.pieces
+    return _integrate_gaps([t.as_integer_ratio() for t in f.breakpoints],
+                           lambda k: _ratio_piece(pieces[k]), a)
 
 
 def integrate_product(f: PiecewiseFn, g: PiecewiseFn, a: Cell) -> Number:
     """integrate_eta(multiply(f, g), a) without building the product.
 
-    One merge walk over both breakpoint lists pairs the pieces of each common
-    gap; the gaps the cell meets are multiplied with poly_mul in the same
-    order and the total is rounded once, so float results are bit-equal to
-    the product path.  A degree overflow anywhere on the domain raises
-    CapacityError, as multiply does.
+    One merge walk over both breakpoint lists, compared as cross-multiplied
+    integers, pairs the pieces of each common gap.  A gap with a float
+    coefficient is multiplied with poly_mul, so float results are bit-equal to
+    the product path; exact gaps multiply as integers.  A degree overflow
+    anywhere on the domain raises CapacityError, as multiply does.
     """
-    if f.domain != g.domain:
+    fb = [t.as_integer_ratio() for t in f.breakpoints]
+    gb = [t.as_integer_ratio() for t in g.breakpoints]
+    if fb[0] != gb[0] or fb[-1] != gb[-1]:
         raise DomainError("functions live on different domains")
-    fb, gb = f.breakpoints, g.breakpoints
     bps = [fb[0]]
     pairs: list[tuple[Coeffs, Coeffs]] = []
     i = j = 0
@@ -368,18 +457,19 @@ def integrate_product(f: PiecewiseFn, g: PiecewiseFn, a: Cell) -> Number:
         if len(fp) + len(gp) - 2 > MAX_DEGREE:
             raise CapacityError("product degree exceeds cap")
         pairs.append((fp, gp))
-        f_hi, g_hi = fb[i + 1], gb[j + 1]
-        if f_hi < g_hi:
+        (fn, fd), (gn, gd) = f_hi, g_hi = fb[i + 1], gb[j + 1]
+        x, y = fn * gd, gn * fd
+        if x < y:
             bps.append(f_hi)
             i += 1
-        elif g_hi < f_hi:
+        elif y < x:
             bps.append(g_hi)
             j += 1
         else:
             bps.append(f_hi)
             i += 1
             j += 1
-    return _integrate_gaps(bps, lambda k: poly_mul(*pairs[k]), a)
+    return _integrate_gaps(bps, lambda k: _product_piece(*pairs[k]), a)
 
 
 def step_values(f: PiecewiseFn) -> list[tuple[Fraction, Fraction, Number]]:

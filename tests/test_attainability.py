@@ -29,7 +29,13 @@ from impulse_reach.attainability import (
     universal_mp,
 )
 from impulse_reach.cli import load_scenario
-from impulse_reach.dynamics import ConstraintSpec, ImpulseSystem, build_double_integrator
+from impulse_reach.dynamics import (
+    ConstraintSpec,
+    ImpulseSystem,
+    build_double_integrator,
+    position_kernel,
+    velocity_kernel,
+)
 from impulse_reach.errors import DomainError, EmptySetError, PreconditionError
 from impulse_reach.intervals import Interval, eta, partition_from_cuts
 from impulse_reach.piecewise import LEFT, MAX_DEGREE, RIGHT, PiecewiseFn, integrate_eta
@@ -82,6 +88,26 @@ def test_hull_keeps_both_ends_of_a_near_vertical_edge():
     ps = hull_piece([(10.000000000049998, 0), (10.000000000050002, 0.5),
                      (10.000000000049998, 1), (0, 0.5)])
     assert ps.polygons == (((0.0, 0.5), (10.0, 0.0), (10.0, 1.0)),)
+
+
+def test_hull_keeps_a_corner_visited_twice_one_ulp_apart():
+    # the sweep can visit one corner twice with coordinates 1 ulp apart;
+    # each of the pair lies between the other and its next neighbour, but
+    # one of them must stay
+    corner = -0.3235292968750001
+    hull = convex_hull_2d([(corner, -0.9999999999999999), (corner, -0.9999999999999998),
+                           (-0.00048828125, -1.0), (0.4217348632812501, 0.391),
+                           (-0.25046154502744944, -0.3910000000000002)])
+    assert len(hull) == 4 and [x for x, _ in hull].count(corner) == 1
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-6, 3e-7, 1.0, 1e6, 1e9])
+def test_hull_scales_with_the_points(scale):
+    cloud = [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5), (0.25, 0.75), (0.5, 0.0),
+             (0.75, 0.125)]
+    hull = convex_hull_2d([(scale * x, scale * y) for x, y in cloud])
+    assert hull == [(scale * x, scale * y) for x, y in convex_hull_2d(cloud)]
+    assert len(hull) == 4
 
 
 def test_hull_piece_degenerate_to_segment():
@@ -855,6 +881,26 @@ def test_projection_supports_match_highs_on_random_clouds():
                 assert res.status == 0
                 got = np.max(set_corners(ps) @ d)
                 assert abs(got + res.fun) <= 1e-9 * max(1.0, abs(res.fun))
+
+
+def test_reach_supports_match_lp_on_a_corner_visited_twice():
+    # a bench family member (mesh 1024, 14 constraint kernels) whose sweep
+    # visits a corner twice, 1 ulp apart
+    c = PiecewiseFn.build([0, F(179, 500), 1], [[1], [-1]])
+    sys, _ = build_double_integrator(c, 1, 1, 1)
+    kernels = []
+    for t in (F(29, 100), F(393, 1000), F(211, 500), F(43, 100), F(573, 1000),
+              F(159, 250), F(879, 1000)):
+        kernels += [position_kernel(c, t), velocity_kernel(c, t)]
+    w = F(381, 1000)
+    cons = ConstraintSpec(tuple(kernels), (((-w, w),) * len(kernels),))
+    cfg = ReachConfig(1024, F(1, 100), 24)
+    corners = set_corners(relaxed_reach(sys, cons, cfg))
+    rows = _mesh_generators(sys, cons, cfg.mesh)[1]
+    box = relax_box(cons.boxes[0], cfg.epsilon, None)
+    for d in fan(64):
+        value, _ = support_lp(rows, box, d)
+        assert abs(np.max(corners @ d) - value) <= 1e-9 * max(1.0, abs(value))
 
 
 def all_sites_rows(builder, *args):

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ F = Fraction
 ZIGZAG_C = {"breakpoints": ["0", "1/2", "1"], "pieces": [[1], [-1]],
             "point_values": [1, -1, -1]}
 CONST_C = {"breakpoints": ["0", "1"], "pieces": [[1]], "point_values": [1, 1]}
+VELOCITY_PIN = Path(__file__).resolve().parents[1] / "scenarios" / "velocity_pin.json"
 
 
 def write_scenario(tmp_path, name="scenario.json", **extra):
@@ -246,6 +248,18 @@ def test_reach_rejects_an_unknown_relaxation(tmp_path, capsys, relaxation):
     out = tmp_path / "reach.json"
     assert main(["reach", "--scenario", str(path), "--out", str(out)]) == 2
     assert "relaxation" in capsys.readouterr().err and not out.exists()
+
+
+@pytest.mark.parametrize("J", [[1.7], [True], ["1"], [1.0], 1],
+                         ids=lambda J: json.dumps(J))
+def test_reach_rejects_a_non_integer_J_index(tmp_path, capsys, J):
+    raw = json.loads(VELOCITY_PIN.read_text())
+    raw["constraints"]["J"] = J
+    path = tmp_path / "scenario.json"
+    path.write_text(dump_json(raw))
+    out = tmp_path / "reach.json"
+    assert main(["reach", "--scenario", str(path), "--out", str(out)]) == 2
+    assert "constraint J" in capsys.readouterr().err and not out.exists()
 
 
 def test_infeasible_reach_reports_feasible_false(tmp_path):

@@ -28,6 +28,7 @@ from impulse_reach.intervals import (
     is_finer,
     partition_from_cuts,
 )
+from impulse_reach.measures import FAMeasure, Side, SideAtom, variation
 from impulse_reach.piecewise import (
     MAX_DEGREE,
     PiecewiseFn,
@@ -35,13 +36,15 @@ from impulse_reach.piecewise import (
     integrate_eta,
     integrate_product,
     multiply,
-    poly_antiderivative,
     poly_eval,
+    poly_mul,
     step_function,
+    step_values,
+    sup_norm,
 )
 from impulse_reach.rational import rat
 
-from conftest import UNIT, rand_cuts, rand_partition, rand_rat
+from conftest import UNIT, rand_cuts, rand_partition, rand_rat, rand_step
 
 F = Fraction
 DOMAINS = [UNIT, Interval(F(1, 3), F(7, 5))]
@@ -49,6 +52,12 @@ DOMAIN_IDS = ["unit", "offset"]
 
 
 # -- references ----------------------------------------------------------------
+
+def poly_antiderivative(coeffs):
+    """The antiderivative vanishing at 0, over the exact value of every coefficient."""
+    return (Fraction(0),) + tuple((c if isinstance(c, Fraction) else Fraction(c)) / (k + 1)
+                                  for k, c in enumerate(coeffs))
+
 
 def ref_eval(f: PiecewiseFn, t: Fraction):
     i = bisect_left(f.breakpoints, t)
@@ -121,6 +130,83 @@ def ref_integrate_eta(f: PiecewiseFn, a: Cell):
     return float(total) if rounded else total
 
 
+def ref_integrate_gaps(bps, piece, a: Cell):
+    """The Fraction cursor walk: each gap's antiderivative evaluated in Fractions."""
+    if not a.within(Interval(bps[0], bps[-1])):
+        raise DomainError("integration cell must lie in the domain")
+    total = Fraction(0)
+    rounded = False
+    for part in a.parts:
+        lo, hi = part.lo, part.hi
+        if lo == hi:
+            continue
+        i = bisect_right(bps, lo) - 1
+        cursor = lo
+        while cursor < hi:
+            seg_hi = min(hi, bps[i + 1])
+            coeffs = piece(i)
+            rounded = rounded or any(isinstance(c, float) for c in coeffs)
+            anti = poly_antiderivative(coeffs)
+            total += poly_eval(anti, seg_hi) - poly_eval(anti, cursor)
+            cursor = seg_hi
+            i += 1
+    return float(total) if rounded else total
+
+
+def ref_integrate_product(f: PiecewiseFn, g: PiecewiseFn, a: Cell):
+    """The merge walk over Fraction breakpoints, each gap multiplied by poly_mul."""
+    if f.domain != g.domain:
+        raise DomainError("functions live on different domains")
+    fb, gb = f.breakpoints, g.breakpoints
+    bps = [fb[0]]
+    pairs = []
+    i = j = 0
+    while i < len(f.pieces):
+        fp, gp = f.pieces[i], g.pieces[j]
+        if len(fp) + len(gp) - 2 > MAX_DEGREE:
+            raise CapacityError("product degree exceeds cap")
+        pairs.append((fp, gp))
+        f_hi, g_hi = fb[i + 1], gb[j + 1]
+        if f_hi < g_hi:
+            bps.append(f_hi)
+            i += 1
+        elif g_hi < f_hi:
+            bps.append(g_hi)
+            j += 1
+        else:
+            bps.append(f_hi)
+            i += 1
+            j += 1
+    return ref_integrate_gaps(bps, lambda k: poly_mul(*pairs[k]), a)
+
+
+def ref_sup_norm(f: PiecewiseFn):
+    """The candidate loop of sup_norm, which exact step functions now skip."""
+    best = 0
+    for v in f.point_values:
+        best = max(best, abs(v))
+    for (a, b), coeffs in zip(zip(f.breakpoints, f.breakpoints[1:]), f.pieces):
+        for t in (a, b):
+            best = max(best, abs(poly_eval(coeffs, t)))
+    return best
+
+
+def ref_variation(mu: FAMeasure):
+    total = 0
+    for lo, hi, value in step_values(mu.density):
+        total += abs(value) * (hi - lo)
+    for atom in mu.atoms:
+        total += abs(atom.mass)
+    return total
+
+
+def ref_captured_by(atom: SideAtom, cell: Cell) -> bool:
+    t = atom.loc
+    if atom.side is Side.LEFT:
+        return any(start < (t, 0) <= end for start, end in cell.cut_ranges)
+    return any(start <= (t, 1) < end for start, end in cell.cut_ranges)
+
+
 def ref_partition_from_cuts(domain: Interval, cuts) -> Partition:
     inner = sorted({rat(t) for t in cuts if domain.lo < rat(t) < domain.hi})
     bounds = [domain.start_cut] + [(t, 0) for t in inner] + [domain.end_cut]
@@ -141,6 +227,22 @@ def ref_rand_step(rng: random.Random, dom: Interval, nonneg: bool) -> PiecewiseF
     values = [Fraction(rng.randint(0 if nonneg else -6, 6), rng.choice((1, 2)))
               for _ in cells]
     return step_function(dom, list(zip(cells, values)))
+
+
+def ref_rand_measure(rng: random.Random, dom: Interval, nonneg: bool) -> FAMeasure:
+    atoms = []
+    seen = set()
+    for _ in range(rng.randint(0, 2)):
+        den = rng.choice((2, 3, 4, 6, 8, 16))
+        loc = dom.lo + Fraction(rng.randint(0, den), den) * (dom.hi - dom.lo)
+        side = rng.choice((Side.LEFT, Side.RIGHT))
+        if (side is Side.LEFT and loc <= dom.lo) or \
+           (side is Side.RIGHT and loc >= dom.hi) or (loc, side) in seen:
+            continue
+        seen.add((loc, side))
+        mass = Fraction(rng.randint(0 if nonneg else -3, 3), rng.choice((1, 2)))
+        atoms.append(SideAtom(loc, side, mass))
+    return FAMeasure(ref_rand_step(rng, dom, nonneg), FAMeasure.sort_atoms(atoms))
 
 
 # -- random inputs -------------------------------------------------------------
@@ -269,6 +371,43 @@ def test_integrate_product_matches_product_path(rng, domain):
         assert type(got) is type(want) and got == want
 
 
+@pytest.mark.parametrize("domain", DOMAINS, ids=DOMAIN_IDS)
+def test_integer_integration_matches_the_fraction_walk(rng, domain):
+    for _ in range(200):
+        exact = rng.random() < 0.5
+        f = rand_fn(rng, domain, max_degree=MAX_DEGREE, exact=exact, max_cuts=8)
+        g = rand_fn(rng, domain, exact=exact or rng.random() < 0.5)
+        h = rand_fn(rng, domain, max_degree=MAX_DEGREE - 2, exact=exact)
+        a = rand_subcell(rng, domain)
+        for got, want in ((integrate_eta(f, a), ref_integrate_gaps(
+                               f.breakpoints, f.pieces.__getitem__, a)),
+                          (integrate_product(h, g, a), ref_integrate_product(h, g, a)),
+                          (integrate_product(g, h, a), ref_integrate_product(g, h, a))):
+            # equal Fractions and the same float bits
+            assert type(got) is type(want) and got == want
+
+
+def test_integer_integration_edge_pieces():
+    unit = Cell((UNIT,))
+    third = PiecewiseFn((F(0), F(1)), ((F(1, 3), 0.0),), (0, 0))
+    two = PiecewiseFn.constant(UNIT, 2)
+    # poly_mul trims the product's float 0.0 top coefficient: the result is exact
+    assert integrate_product(third, two, unit) == ref_integrate_product(third, two, unit) \
+        == F(2, 3)
+    assert type(integrate_product(third, two, unit)) is Fraction
+    assert integrate_eta(third, unit) == 1 / 3 and type(integrate_eta(third, unit)) is float
+    # an empty cell, a singleton part and a float constant that rounds
+    assert integrate_eta(two, Cell()) == 0 and type(integrate_eta(two, Cell())) is Fraction
+    assert integrate_eta(two, Cell((Interval(F(1, 2), F(1, 2)),))) == 0
+    tenth = PiecewiseFn.constant(Interval(F(1, 3), F(7, 5)), 0.1)
+    part = Cell((Interval(F(1, 3), F(2, 3)), Interval(F(1), F(7, 5))))
+    assert integrate_eta(tenth, part) == float(F(0.1) * F(11, 15))
+    with pytest.raises(DomainError):
+        integrate_eta(two, Cell((Interval(F(1, 2), F(3, 2)),)))
+    with pytest.raises(DomainError):
+        integrate_product(tenth, two, unit)
+
+
 def test_integrate_product_raises_where_multiply_does(rng):
     for _ in range(50):
         f = rand_fn(rng, UNIT, max_degree=MAX_DEGREE)
@@ -291,6 +430,55 @@ def test_integrate_product_raises_where_multiply_does(rng):
         integrate_product(cubic, square, head)
     with pytest.raises(DomainError):
         integrate_product(cubic, PiecewiseFn.constant(DOMAINS[1], 1), head)
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=DOMAIN_IDS)
+def test_exact_step_sup_norm_and_variation_match_reference(rng, domain):
+    for _ in range(200):
+        exact = rng.random() < 0.8
+        f = rand_step(rng, domain, exact=exact, nonneg=rng.random() < 0.3)
+        if rng.random() < 0.3:  # ints, ties between point values and pieces, zeros
+            f = PiecewiseFn(f.breakpoints,
+                            tuple((rng.choice((0, 1, -1, F(1), F(-1, 2))),) for _ in f.pieces),
+                            tuple(rng.choice((0, 1, F(-1), F(1, 2))) for _ in f.breakpoints))
+        got, want = sup_norm(f), ref_sup_norm(f)
+        assert type(got) is type(want) and got == want
+        mu = FAMeasure(f, FAMeasure.sort_atoms(
+            SideAtom(t, side, rng.choice((1, F(-3, 2), 0.5 if not exact else F(1, 3))))
+            for t in rand_cuts(rng, domain, 2) for side in (Side.LEFT, Side.RIGHT)
+            if rng.random() < 0.5))
+        got, want = variation(mu), ref_variation(mu)
+        assert type(got) is type(want) and got == want
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=DOMAIN_IDS)
+def test_atom_capture_matches_the_cut_rule(rng, domain):
+    for _ in range(200):
+        cell = rand_subcell(rng, domain)
+        ends = [t for part in cell.parts for t in (part.lo, part.hi)]
+        for t in ends + rand_cuts(rng, domain, 3):
+            for side in (Side.LEFT, Side.RIGHT):
+                atom = SideAtom(t, side, 1)
+                assert atom.captured_by(cell) == ref_captured_by(atom, cell)
+
+
+def test_measure_rejects_unsorted_duplicate_and_outside_atoms():
+    dom = DOMAINS[1]  # [1/3, 7/5]
+    zero = PiecewiseFn.constant(dom, 0)
+    a, b = F(1, 2), F(2, 3)
+    FAMeasure(zero, (SideAtom(dom.lo, Side.RIGHT, 1), SideAtom(a, Side.LEFT, 1),
+                     SideAtom(a, Side.RIGHT, 1), SideAtom(b, Side.LEFT, 1),
+                     SideAtom(dom.hi, Side.LEFT, 1)))
+    for atoms, message in [
+            ((SideAtom(b, Side.LEFT, 1), SideAtom(a, Side.LEFT, 1)), "sorted"),
+            ((SideAtom(a, Side.RIGHT, 1), SideAtom(a, Side.LEFT, 1)), "sorted"),
+            ((SideAtom(a, Side.LEFT, 1), SideAtom(F(2, 4), Side.LEFT, 2)), "duplicate"),
+            ((SideAtom(dom.lo, Side.LEFT, 1),), "Left atom"),
+            ((SideAtom(dom.hi, Side.RIGHT, 1),), "Right atom"),
+            ((SideAtom(F(1, 4), Side.RIGHT, 1),), "outside"),
+            ((SideAtom(F(3, 2), Side.LEFT, 1),), "outside")]:
+        with pytest.raises(DomainError, match=message):
+            FAMeasure(zero, atoms)
 
 
 # -- intervals -----------------------------------------------------------------
@@ -317,6 +505,31 @@ def test_is_finer_needs_one_coarse_cell_per_fine_cell():
     assert not is_finer(split, halves) and not ref_is_finer(split, halves)
 
 
+def test_integer_keys_separate_cuts_at_one_time():
+    # each pair differs only in whether one time t belongs to a part: the
+    # cut keys 2·t·D and 2·t·D + 1 are one apart
+    half = F(1, 2)
+    left_open = Interval(F(0), half, True, False)
+    right_open = Interval(half, F(1), False, True)
+    with pytest.raises(DomainError, match="gap"):
+        Partition((Cell((left_open,)), Cell((right_open,))), UNIT)
+    with pytest.raises(DomainError, match="overlap"):
+        Partition((Cell((Interval(F(0), half),)), Cell((Interval(half, F(1)),))), UNIT)
+    with pytest.raises(DomainError, match="non-adjacent"):
+        Cell((left_open, Interval(half, F(1))))
+    Cell((left_open, right_open))
+    with pytest.raises(DomainError, match="strictly increasing"):
+        PiecewiseFn((F(0), half, F(2, 4), F(1)), ((1,), (2,), (3,)), (1, 2, 3, 3))
+    # {1/2} alone is finer than no cell of [0, 1/2) + [1/2, 1], and [0, 1/2]
+    # is finer than no cell of [0, 1/2) + [1/2, 1]
+    coarse = Partition((Cell((left_open,)), Cell((Interval(half, F(1)),))), UNIT)
+    point = Partition((Cell((left_open,)), Cell((Interval(half, half),)),
+                       Cell((right_open,))), UNIT)
+    closed = Partition((Cell((Interval(F(0), half),)), Cell((right_open,))), UNIT)
+    assert is_finer(point, coarse) and not is_finer(closed, coarse)
+    assert not ref_is_finer(closed, coarse)
+
+
 @pytest.mark.parametrize("domain", DOMAINS, ids=DOMAIN_IDS)
 def test_partition_from_cuts_matches_reference(rng, domain):
     for _ in range(100):
@@ -335,4 +548,6 @@ def test_random_data_keeps_draws_and_rng_sequence(domain):
             assert checks._rand_cuts(new, domain, count) == ref_rand_cuts(old, domain, count)
         for nonneg in (False, True):
             assert checks._rand_step(new, domain, nonneg) == ref_rand_step(old, domain, nonneg)
+            assert checks._rand_measure(new, domain, nonneg) == \
+                ref_rand_measure(old, domain, nonneg)
         assert new.getstate() == old.getstate()
