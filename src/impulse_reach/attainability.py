@@ -31,7 +31,6 @@ of b.  They use no tolerance, so scaling both sets scales them.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -428,19 +427,30 @@ def _augmented_curve_samples(sys: ImpulseSystem, cons: ConstraintSpec,
     sample: b times the pi and s kernel limits.
 
     The samples are both limits at every grid time and kernel breakpoint,
-    except those outside the domain; each limit's piece is found exactly.
+    except those outside the domain.  Every time is held as its integer
+    numerator over one common denominator D, and the sorted distinct times
+    are numbered 0, 1, ...  Sample 2i is the left limit at time i and sample
+    2i + 1 the right one.  A breakpoint at time r is keyed 2r + 1, after the
+    left limit at its time and with the right one, so a sample's piece is
+    the number of a kernel's keys up to the sample, less one: one integer
+    search per kernel.  A kept time's float is the quotient num / D, which
+    Python rounds correctly.
     """
     kernels = sys.pi + cons.s
-    times = {sys.t0 + Fraction(k, t_grid_size - 1) * (sys.theta0 - sys.t0)
-             for k in range(t_grid_size)}
-    for kernel in kernels:
-        times.update(kernel.breakpoints)
-    samples = [(t, side) for t in sorted(times) for side in (LEFT, RIGHT)][1:-1]
-    pieces = [np.array([(bisect_left(kernel.breakpoints, t) if side == LEFT
-                         else bisect_right(kernel.breakpoints, t)) - 1 for t, side in samples])
+    a, d = sys.t0.as_integer_ratio()
+    p, q = (sys.theta0 - sys.t0).as_integer_ratio()
+    q *= t_grid_size - 1  # grid time k is a / d + k p / q
+    den = math.lcm(d, q, *(t.denominator for kernel in kernels for t in kernel.breakpoints))
+    start, step = a * (den // d), p * (den // q)
+    breaks = [[t.numerator * (den // t.denominator) for t in kernel.breakpoints]
               for kernel in kernels]
-    kept = _kept_sites(kernels, pieces, [np.zeros(len(samples), dtype=bool)] * len(kernels))
-    at = np.array([float(t) for (t, _), keep in zip(samples, kept.tolist()) if keep])
+    times = sorted(set(range(start, start + t_grid_size * step, step)).union(*breaks))
+    number = {t: i for i, t in enumerate(times)}
+    samples = np.arange(1, 2 * len(times) - 1)
+    pieces = [np.searchsorted([2 * number[t] + 1 for t in keys], samples, side="right") - 1
+              for keys in breaks]
+    kept = _kept_sites(kernels, pieces, [np.zeros(samples.size, dtype=bool)] * len(kernels))
+    at = np.array([times[s // 2] / den for s in samples[kept].tolist()])
     b = float(sys.b)
     rows = np.empty((at.size, len(kernels)))
     for j, (kernel, piece) in enumerate(zip(kernels, pieces)):
@@ -560,10 +570,10 @@ def coincidence_check(sys: ImpulseSystem, cons: ConstraintSpec,
             d_full_partial=hausdorff_distance(full, partial),
             d_full_universal=hausdorff_distance(full, universal),
             d_partial_universal=hausdorff_distance(partial, universal),
-            partial_inside_full=directed_distance(partial, full) <= 1e-9 * max(1.0, extent),
+            partial_inside_full=directed_distance(partial, full) <= 1e-9 * extent,
         ))
     gaps = [max(e.d_full_universal, e.d_partial_universal) for e in entries]
-    decreasing = all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
+    decreasing = all(a >= b - 1e-12 * max(a, b) for a, b in zip(gaps, gaps[1:]))
     return CoincidenceReport(
         entries=tuple(entries),
         distances_decrease=decreasing,

@@ -141,7 +141,7 @@ def _check_admissible(f: PiecewiseFn, sys: ImpulseSystem) -> None:
     if f.is_exact and is_exact(sys.b):
         if total != sys.b:
             raise PreconditionError(f"control impulse {total} != b = {sys.b}")
-    elif abs(total - sys.b) > MASS_TOL * max(1.0, abs(sys.b)):
+    elif abs(total - sys.b) > MASS_TOL * sys.b:
         raise PreconditionError(f"control impulse {total} != b = {sys.b}")
 
 
@@ -164,7 +164,7 @@ def _in_cone(mu: FAMeasure, b: Number) -> bool:
     if not mu.is_nonneg:
         return False
     total = eval_cell(mu, Cell((mu.domain,)))
-    return abs(total - b) <= MASS_TOL * max(1.0, abs(b))
+    return abs(total - b) <= MASS_TOL * b
 
 
 def gen_moments(mu: FAMeasure, sys: ImpulseSystem,

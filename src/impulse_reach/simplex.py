@@ -2,9 +2,11 @@
 
 Problems here are tiny (a few dozen rows, up to about a thousand columns),
 so a plain dense tableau is plenty.  The sweep takes x >= 0 subject to
-A_eq x = b_eq, A_ub x <= b_ub.  Its phase 1 and its start at theta = 0 run
-one plain simplex: Dantzig pricing with a largest-pivot ratio tie-break,
-and Bland's rule once the iteration count suggests cycling.
+A_eq x = b_eq, A_ub x <= b_ub.  Phase 1 starts from the slack basis (Bixby's
+crash basis): every inequality whose right-hand side is >= 0 keeps its slack
+basic, and only the other rows get an artificial.  Phase 1 and the start at
+theta = 0 run one plain simplex: Dantzig pricing with a largest-pivot ratio
+tie-break, and Bland's rule once the iteration count suggests cycling.
 
 shadow_vertices is the parametric simplex of Gass and Saaty: it carries two
 cost rows through every pivot and walks, as theta runs once around the
@@ -98,23 +100,32 @@ def _phase1(A: np.ndarray, b: np.ndarray,
             max_iter: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """A feasible basis of A x = b, x >= 0, or None when there is none.
 
-    Returns the tableau rows over the columns of A and the right-hand side,
-    and the basis.  Rows that turn out redundant are dropped.
+    Rows are first flipped so that b >= 0.  Each row r that has a column
+    equal to e_r (an unflipped inequality's slack) starts with the first
+    such column basic, which is feasible as b_r >= 0.  Each other row (a
+    flipped inequality, an equality) gets an artificial, and phase 1 drives
+    the artificials' sum to zero.  Returns the tableau rows over the columns
+    of A and the right-hand side, and the basis.  Rows that turn out
+    redundant are dropped.
     """
     neg = b < 0
     A[neg] *= -1.0
     b[neg] *= -1.0
     m, total = A.shape
 
-    # one artificial per row, drive their sum to zero
-    T = np.zeros((m + 1, total + m + 1))
+    unit = np.flatnonzero(((A != 0.0).sum(axis=0) == 1) & (A.sum(axis=0) == 1.0))
+    rows, first = np.unique(np.argmax(A[:, unit], axis=0), return_index=True)
+    basis = np.full(m, -1)
+    basis[rows] = unit[first]
+    art = np.flatnonzero(basis < 0)
+    basis[art] = total + np.arange(art.size)
+    T = np.zeros((m + 1, total + art.size + 1))
     T[:m, :total] = A
-    T[:m, total:total + m] = np.eye(m)
+    T[art, total + np.arange(art.size)] = 1.0
     T[:m, -1] = b
-    basis = total + np.arange(m)
-    T[-1, :] = -T[:m, :].sum(axis=0)
-    T[-1, total:total + m] = 0.0
-    status = _run_simplex(T, basis, total + m, max_iter)
+    T[-1, :total] = -A[art].sum(axis=0)
+    T[-1, -1] = -b[art].sum()
+    status = _run_simplex(T, basis, total + art.size, max_iter)
     if status != OPTIMAL or T[-1, -1] < -1e-7:
         return None
 

@@ -621,6 +621,27 @@ def test_coincidence_report_converges():
     assert report.final_d_to_universal <= 0.02
 
 
+@pytest.mark.parametrize("scale", [1e-9, 1e-6, 1.0, 1e6])
+def test_coincidence_flags_scale_with_the_sets(monkeypatch, scale):
+    # stand-in sets: universal is the square [0, 1]^2 and full grows it by
+    # the gap of its mesh; at mesh 4 partial sticks out of full by 1e-6, and
+    # the gap rises by 1e-4 from mesh 4 to 8.  Scaling every set must scale
+    # every distance and keep both flags.
+    gaps = {4: 0.1, 8: 0.1 * (1 + 1e-4)}
+
+    def reach(sys, cons, cfg):
+        shift = 1e-6 if cfg.partial_j is not None and cfg.mesh == 4 else 0.0
+        return square(scale * shift, scale * (1 + gaps[cfg.mesh] + shift))
+
+    monkeypatch.setattr(attainability, "relaxed_reach", reach)
+    monkeypatch.setattr(attainability, "universal_mp", lambda *args: square(0.0, scale))
+    sys, cons = velocity_constrained_sys()
+    report = coincidence_check(sys, cons, [(4, F(1, 100)), (8, F(1, 100))])
+    assert [e.partial_inside_full for e in report.entries] == [False, True]
+    assert not report.distances_decrease
+    assert report.final_d_to_universal == pytest.approx(scale * gaps[8], rel=1e-12)
+
+
 # -- generator rows ------------------------------------------------------------
 
 
@@ -883,24 +904,49 @@ def test_projection_supports_match_highs_on_random_clouds():
                 assert abs(got + res.fun) <= 1e-9 * max(1.0, abs(res.fun))
 
 
-def test_reach_supports_match_lp_on_a_corner_visited_twice():
-    # a bench family member (mesh 1024, 14 constraint kernels) whose sweep
-    # visits a corner twice, 1 ulp apart
-    c = PiecewiseFn.build([0, F(179, 500), 1], [[1], [-1]])
+# bench family members (thrust switch, 7 constraint times, half-width, mesh)
+# whose sweeps visit a hull corner twice, a few ulps apart: fine-mesh seed 12
+# input 10, and wide-fan seed 20 input 8 at its reach mesh.  On the second, a
+# hull that drops both copies of such a corner drops a true vertex
+CORNER_TWICE_MEMBERS = {
+    "fine-mesh": (F(179, 500), (F(29, 100), F(393, 1000), F(211, 500), F(43, 100),
+                                F(573, 1000), F(159, 250), F(879, 1000)), F(381, 1000), 1024),
+    "wide-fan": (F(6, 25), (F(103, 500), F(393, 1000), F(127, 250), F(83, 125),
+                            F(89, 125), F(761, 1000), F(197, 250)), F(451, 1000), 64),
+}
+
+
+def assert_supports_match_lp_on_a_corner_visited_twice(monkeypatch, member):
+    switch, times, w, mesh = CORNER_TWICE_MEMBERS[member]
+    c = PiecewiseFn.build([0, switch, 1], [[1], [-1]])
     sys, _ = build_double_integrator(c, 1, 1, 1)
     kernels = []
-    for t in (F(29, 100), F(393, 1000), F(211, 500), F(43, 100), F(573, 1000),
-              F(159, 250), F(879, 1000)):
+    for t in times:
         kernels += [position_kernel(c, t), velocity_kernel(c, t)]
-    w = F(381, 1000)
     cons = ConstraintSpec(tuple(kernels), (((-w, w),) * len(kernels),))
-    cfg = ReachConfig(1024, F(1, 100), 24)
+    cfg = ReachConfig(mesh, F(1, 100), 24)
+    visited = []
+    hull = attainability.hull_piece
+    monkeypatch.setattr(attainability, "hull_piece",
+                        lambda points: visited.extend(map(tuple, points)) or hull(points))
     corners = set_corners(relaxed_reach(sys, cons, cfg))
+    twins = [(p, q) for p, q in itertools.combinations(set(visited), 2)
+             if np.max(np.abs(np.subtract(p, q))) <= 4 * np.spacing(np.max(np.abs([p, q])))]
+    raw_corners = set(convex_hull_2d(visited))
+    assert any(p in raw_corners or q in raw_corners for p, q in twins)
     rows = _mesh_generators(sys, cons, cfg.mesh)[1]
     box = relax_box(cons.boxes[0], cfg.epsilon, None)
     for d in fan(64):
         value, _ = support_lp(rows, box, d)
         assert abs(np.max(corners @ d) - value) <= 1e-9 * max(1.0, abs(value))
+
+
+def test_reach_supports_match_lp_on_a_corner_visited_twice(monkeypatch):
+    assert_supports_match_lp_on_a_corner_visited_twice(monkeypatch, "fine-mesh")
+
+
+def test_reach_supports_match_lp_on_a_corner_visited_twice_at_mesh_64(monkeypatch):
+    assert_supports_match_lp_on_a_corner_visited_twice(monkeypatch, "wide-fan")
 
 
 def all_sites_rows(builder, *args):

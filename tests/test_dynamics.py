@@ -149,6 +149,21 @@ def test_gen_moments_rejects_outside_cone():
                     ConstraintSpec.unconstrained())
 
 
+@pytest.mark.parametrize("b", [1e-9, 3e-7, 1.0, 1e9])
+def test_float_mass_tolerance_is_relative_to_b(b):
+    # a float control or measure has mass b within MASS_TOL * b at any scale,
+    # so mass 0 is rejected also where b is below MASS_TOL
+    sys, _ = build_double_integrator(const_one(), 1, 1, b)
+    cons = ConstraintSpec.unconstrained()
+    assert moments(PiecewiseFn.constant(UNIT, b), sys, cons)[0][1] == b
+    assert gen_moments(FAMeasure.dirac("1/2", Side.LEFT, UNIT, b), sys, cons)[0][1] == b
+    for mass in (0.0, b * (1 - 1e-8), b * (1 + 1e-8)):
+        with pytest.raises(PreconditionError):
+            moments(PiecewiseFn.constant(UNIT, mass), sys, cons)
+        with pytest.raises(PreconditionError):
+            gen_moments(FAMeasure.dirac("1/2", Side.LEFT, UNIT, mass), sys, cons)
+
+
 def test_factorization_through_indefinite(rng):
     sys, (s1, s2) = build_double_integrator(zigzag(), "3/4", "1/2", 1)
     cons = ConstraintSpec((s1, s2), (((None, None), (None, None)),), frozenset())

@@ -208,3 +208,121 @@ def test_sweep_raises_on_an_unbounded_set():
         shadow_vertices([1.0, 1.0], [-1.0, -1.0], ray, [0.0])
     with pytest.raises(NumericError, match="unbounded"):
         shadow_vertices([-1.0, -1.0], [1.0, 1.0], ray, [0.0])
+
+
+# -- phase 1 from the slack basis ------------------------------------------------
+
+
+def box_form(gens, lo, hi):
+    """The sweep's LP over weights x >= 0: sum x = 1 and lo <= gens.T x <= hi
+    (lo == hi an equality), as _standard_form's arguments."""
+    A_eq, b_eq, A_ub, b_ub = [np.ones(gens.shape[0])], [1.0], [], []
+    for row, l, h in zip(gens.T, lo, hi):
+        if l == h:
+            A_eq.append(row)
+            b_eq.append(l)
+            continue
+        A_ub += [row, -row]
+        b_ub += [h, -l]
+    return np.array(A_eq), b_eq, (np.array(A_ub) if A_ub else None), (b_ub or None)
+
+
+def phase1_run(monkeypatch, n, *lp):
+    """_phase1 on the standard form of lp: its result, the number of
+    artificial columns it added, and the pivots it took."""
+    pivots, ncols = [], []
+    pivot, run = simplex._pivot, simplex._run_simplex
+
+    def counted(T, basis, row, col):
+        pivots.append((row, col))
+        pivot(T, basis, row, col)
+
+    def recorded(T, basis, cols, max_iter):
+        ncols.append(cols)
+        return run(T, basis, cols, max_iter)
+
+    monkeypatch.setattr(simplex, "_pivot", counted)
+    monkeypatch.setattr(simplex, "_run_simplex", recorded)
+    A, b = simplex._standard_form(n, *lp)
+    start = simplex._phase1(A, b, 200 * sum(A.shape))
+    return start, ncols[0] - A.shape[1], len(pivots)
+
+
+def test_phase1_starts_a_box_lp_from_its_slacks(monkeypatch):
+    # each box contains 0 and the first generator, so every inequality's slack
+    # starts basic and only the mass row has an artificial: generator 0
+    # enters, and its ratio on the mass row, 1, is the only smallest one
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        gens = rng.uniform(-2, 2, (rng.integers(1, 40), rng.integers(1, 8)))
+        pad = rng.uniform(0.1, 1, gens.shape[1])
+        lo, hi = np.minimum(gens[0], 0) - pad, np.maximum(gens[0], 0) + pad
+        start, artificials, pivots = phase1_run(monkeypatch, gens.shape[0],
+                                                *box_form(gens, lo, hi))
+        assert artificials == pivots == 1
+        rows, basis = start
+        assert rows.shape[0] == basis.size == 1 + 2 * gens.shape[1]
+        assert np.all(rows[:, -1] >= 0) and 0 in basis.tolist()
+
+
+def test_phase1_gives_artificials_only_to_rows_without_a_unit_column(monkeypatch):
+    # x1 + x2 = 1 and x2 >= 1/2, flipped, get artificials; x1 <= 3 starts
+    # from its slack
+    start, artificials, pivots = phase1_run(
+        monkeypatch, 2, np.array([[1.0, 1.0]]), [1.0],
+        np.array([[1.0, 0.0], [0.0, -1.0]]), [3.0, -0.5])
+    assert artificials == 2 and pivots <= 2
+    rows, basis = start
+    x = np.zeros(rows.shape[1] - 1)
+    x[basis] = rows[:, -1]
+    assert x[0] + x[1] == pytest.approx(1.0) and x[1] >= 0.5 - 1e-12
+
+
+def test_phase1_reports_infeasible_boxes():
+    gens = np.array([[1.0, 0.0], [2.0, 1.0], [1.5, -1.0]])
+    for lo, hi in [([-1.0, -1.0], [0.5, 1.0]),   # every slack basic, mass row not met
+                   ([2.5, -1.0], [3.0, 1.0]),    # lo above every generator: flipped
+                   ([3.0, -1.0], [3.0, 1.0])]:   # an equality no generator meets
+        lp = box_form(gens, lo, hi)
+        A, b = simplex._standard_form(gens.shape[0], *lp)
+        assert simplex._phase1(A, b, 200 * sum(A.shape)) is None
+        assert shadow_vertices(-gens[:, 0], -gens[:, 1], *lp) is None
+        assert solve_lp([1.0, 1.0, 1.0], *lp).status == INFEASIBLE
+
+
+def test_random_lps_with_mixed_signs_and_redundant_rows_against_vertex_enumeration():
+    # solve_lp sees every row; the enumeration, which needs full row rank,
+    # sees each equality once
+    rng = random.Random(11)
+    solved = 0
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        m_ub, m_eq = rng.randint(0, 3), rng.randint(0, 2)
+        c = [rng.uniform(-2, 2) for _ in range(n)]
+        A_ub = [[rng.uniform(-1, 2) for _ in range(n)] for _ in range(m_ub)]
+        b_ub = [rng.uniform(-1, 2) for _ in range(m_ub)]
+        if A_ub and rng.random() < 0.5:  # a repeated inequality
+            A_ub.append(A_ub[0])
+            b_ub.append(b_ub[0])
+        A_eq = [[rng.uniform(0.2, 2) for _ in range(n)] for _ in range(m_eq)]
+        b_eq = [rng.uniform(0.2, 2) for _ in range(m_eq)]
+        if not A_ub and not A_eq:
+            continue
+        A_ub, b_ub = (np.array(A_ub), b_ub) if A_ub else (None, None)
+        extra_eq, extra_rhs = A_eq[:], b_eq[:]
+        if A_eq:  # a scaled copy and a sum of the equalities
+            extra_eq += [[2 * a for a in A_eq[0]], list(np.sum(A_eq, axis=0))]
+            extra_rhs += [2 * b_eq[0], sum(b_eq)]
+        res = solve_lp(c, np.array(extra_eq) if A_eq else None, extra_rhs or None,
+                       A_ub, b_ub)
+        if res.status == UNBOUNDED:
+            continue
+        oracle = brute_force_min(c, np.array(A_eq) if A_eq else None, b_eq or None,
+                                 A_ub, b_ub)
+        if oracle is None:
+            assert res.status == INFEASIBLE
+        else:
+            assert res.status == OPTIMAL
+            assert res.value == pytest.approx(oracle, abs=1e-7)
+            solved += 1
+    assert solved > 50
