@@ -17,7 +17,9 @@ splits is integrated exactly and rounded, and each limit is evaluated in
 float on the piece found exactly.
 One projection engine maps either hull to the terminal plane: per box, one
 shadow-vertex sweep of the simplex enumerates the vertices of the sliced
-hull's image, so each piece is that polygon exactly, up to rounding.  The
+hull's image, so each piece is that polygon exactly, up to rounding.  It
+first scales each coordinate by a power of two, so scaling b, the boxes and
+epsilon by lambda scales every set by lambda.  The
 directions argument is validated but shapes no set.  short_impulse_mp is the
 exact union of one-sided-limit segments for the vanishing-support constraint
 family.  Every set is planar: systems with other than two terminal kernels
@@ -282,18 +284,27 @@ def _project(gens: np.ndarray,
     sweep of the two terminal costs visits every vertex of that box's piece.
     An infeasible box contributes nothing.  directions is only validated: no
     set depends on it.
+
+    Each coordinate is first scaled by the power of two 2^-e that brings its
+    largest magnitude into [1/2, 1), its box bounds with it, and the visited
+    terminal points are scaled back.  Powers of two scale exactly, so scaling
+    b and the boxes by 2^k hands the sweep the same LP, bit for bit, and its
+    absolute thresholds (simplex.EPS, phase 1's) act relative to each
+    coordinate's size.
     """
     if directions < 3:
         raise DomainError("need at least 3 fan directions")
+    exponents = np.frexp(np.abs(gens).max(axis=0))[1]
+    gens = np.ldexp(gens, -exponents)
     terminal = gens[:, :2].T
     result = PlanarSet()
     for box in boxes:
         eq_rows, eq_rhs = [np.ones(gens.shape[0])], [1.0]
         ub_rows: list[np.ndarray] = []
         ub_rhs: list[float] = []
-        for row, (lo, hi) in zip(gens[:, 2:].T, box):
-            lo = None if lo is None else float(lo)
-            hi = None if hi is None else float(hi)
+        for row, (lo, hi), e in zip(gens[:, 2:].T, box, exponents[2:].tolist()):
+            lo = None if lo is None else math.ldexp(float(lo), -e)
+            hi = None if hi is None else math.ldexp(float(hi), -e)
             if lo is not None and lo == hi:
                 eq_rows.append(row)
                 eq_rhs.append(lo)
@@ -308,7 +319,8 @@ def _project(gens: np.ndarray,
         visited = shadow_vertices(-terminal[0], -terminal[1], np.vstack(eq_rows), eq_rhs,
                                   A_ub, ub_rhs)
         if visited is not None:
-            result = result.merge(hull_piece([terminal @ x for x in visited]))
+            result = result.merge(hull_piece([np.ldexp(terminal @ x, exponents[:2])
+                                              for x in visited]))
     return result
 
 
@@ -320,11 +332,13 @@ _GL_NODES = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
 _GL_WEIGHTS = np.array([5 / 9, 8 / 9, 5 / 9])
 
 
-def _coefficient_table(kernel: PiecewiseFn) -> np.ndarray:
-    """The kernel's pieces as float rows, low degree first, zero-padded to MAX_DEGREE."""
-    table = np.zeros((len(kernel.pieces), MAX_DEGREE + 1))
-    for i, coeffs in enumerate(kernel.pieces):
-        table[i, :len(coeffs)] = [float(c) for c in coeffs]
+def _stacked_coefficients(kernels: Sequence[PiecewiseFn]) -> np.ndarray:
+    """One float table of every kernel's pieces, indexed [kernel, piece, degree]:
+    low degree first, zero-padded to MAX_DEGREE and to the most pieces."""
+    table = np.zeros((len(kernels), max(len(k.pieces) for k in kernels), MAX_DEGREE + 1))
+    for j, kernel in enumerate(kernels):
+        for i, coeffs in enumerate(kernel.pieces):
+            table[j, i, :len(coeffs)] = [float(c) for c in coeffs]
     return table
 
 
@@ -336,36 +350,34 @@ def _horner(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _cell_pieces(kernel: PiecewiseFn, t0: Fraction, step: Fraction,
-                 mesh: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per mesh cell, the kernel piece it starts in and whether a breakpoint splits it."""
-    # cell k lies right of an inner breakpoint at u cells from t0 iff ceil(u) <= k
-    starts = []
-    split = np.zeros(mesh, dtype=bool)
-    for t in kernel.breakpoints[1:-1]:
-        u = (t - t0) / step
-        starts.append(math.ceil(u))
-        if u.denominator != 1:
-            split[math.floor(u)] = True
-    return np.searchsorted(starts, np.arange(mesh), side="right"), split
+def _integer_grid(t0: Fraction, step: Fraction,
+                  kernels: Sequence[PiecewiseFn]) -> tuple[int, int, int]:
+    """A common denominator D of t0, step and every kernel breakpoint, and the
+    numerators of t0 and step over D."""
+    a, d = t0.as_integer_ratio()
+    p, q = step.as_integer_ratio()
+    den = math.lcm(d, q, *(t.denominator for kernel in kernels for t in kernel.breakpoints))
+    return den, a * (den // d), p * (den // q)
 
 
-def _kept_sites(kernels: Sequence[PiecewiseFn], pieces: Sequence[np.ndarray],
-                splits: Sequence[np.ndarray]) -> np.ndarray:
-    """Mask of the time-ordered sites to keep; site k reads piece pieces[j][k]
-    of kernels[j], and splits[j][k] says a breakpoint of it splits the site.
+def _kept_sites(kernels: Sequence[PiecewiseFn], pieces: np.ndarray,
+                splits: np.ndarray) -> np.ndarray:
+    """Mask of the time-ordered sites to keep; site k reads piece pieces[j, k]
+    of kernels[j], and splits[j, k] says a breakpoint of it splits the site.
 
     Site k is dropped when sites k-1 and k+1 lie in one piece of every kernel,
     none of the three is split, and each such piece has degree <= 1: the three
     rows are then one affine map's values at increasing times.  Each run of
     dropped sites keeps its two ends, so the hull of the rows is unchanged.
     """
-    drop = np.zeros(len(pieces[0]), dtype=bool)
-    drop[1:-1] = True
-    for kernel, piece, split in zip(kernels, pieces, splits):
-        affine = np.array([len(cs) <= 2 for cs in kernel.pieces])[piece]
-        drop[1:-1] &= ((piece[:-2] == piece[2:]) & affine[1:-1]
-                       & ~(split[:-2] | split[1:-1] | split[2:]))
+    pieces, splits = np.asarray(pieces), np.asarray(splits)
+    width = max(len(k.pieces) for k in kernels)
+    affine = np.array([[len(cs) <= 2 for cs in k.pieces] + [False] * (width - len(k.pieces))
+                       for k in kernels])
+    affine = affine[np.arange(len(kernels))[:, None], pieces[:, 1:-1]]
+    drop = np.zeros(pieces.shape[1], dtype=bool)
+    drop[1:-1] = ((pieces[:, :-2] == pieces[:, 2:]) & affine
+                  & ~(splits[:, :-2] | splits[:, 1:-1] | splits[:, 2:])).all(axis=0)
     return ~drop
 
 
@@ -375,34 +387,47 @@ def _mesh_generators(sys: ImpulseSystem, cons: ConstraintSpec,
     cell: b times the cell averages of the pi and s kernels.
 
     A step control with mass m_j on cell j has the moments sum_j (m_j / b) row_j,
-    and the weights m_j / b are nonnegative and sum to 1.  A cell inside one
-    piece of a kernel is averaged in float by Gauss-Legendre quadrature, written
-    as the midpoint value plus weighted differences so that a constant piece
+    and the weights m_j / b are nonnegative and sum to 1.  Every time is held as
+    its integer numerator over one common denominator D, so cell k is
+    [start + k step, start + (k + 1) step] / D, and an inner breakpoint at u
+    cells from t0 starts the piece of cell ceil(u) and splits cell floor(u)
+    unless u is whole: one integer divmod per breakpoint.  All kernels are
+    evaluated at once on a (kernel, cell, node) grid.  A cell inside one piece
+    of a kernel is averaged in float by Gauss-Legendre quadrature, written as
+    the midpoint value plus weighted differences so that a constant piece
     averages to itself.  A cell that a kernel breakpoint splits is integrated
     exactly and rounded once.
     """
     kernels = sys.pi + cons.s
-    step = (sys.theta0 - sys.t0) / mesh
-    pieces, splits = zip(*(_cell_pieces(kernel, sys.t0, step, mesh) for kernel in kernels))
+    den, start, step = _integer_grid(sys.t0, (sys.theta0 - sys.t0) / mesh, kernels)
+    firsts = np.zeros((len(kernels), mesh + 1), dtype=np.intp)
+    splits = np.zeros((len(kernels), mesh), dtype=bool)
+    for j, kernel in enumerate(kernels):
+        for t in kernel.breakpoints[1:-1]:
+            cell, rest = divmod(t.numerator * (den // t.denominator) - start, step)
+            firsts[j, cell + (rest != 0)] += 1
+            splits[j, cell] |= rest != 0
+    pieces = firsts.cumsum(axis=1)[:, :mesh]
     kept = _kept_sites(kernels, pieces, splits)
     cells = np.flatnonzero(kept)
-    # the midpoints t0 + (2k + 1) step / 2 as ratios of ints, which divide
-    # to the correctly rounded float
-    a, d = sys.t0.numerator, sys.t0.denominator
-    p, q = step.numerator, step.denominator
-    mids = np.array([(2 * a * q + (2 * k + 1) * p * d) / (2 * d * q) for k in cells.tolist()])
-    nodes = mids[:, None] + float(step) / 2 * _GL_NODES
+    # the midpoints (2 start + (2k + 1) step) / 2D as ratios of ints, which
+    # divide to the correctly rounded float
+    mids = np.array([(2 * start + (2 * k + 1) * step) / (2 * den) for k in cells.tolist()])
+    length = step / den
+    nodes = mids[:, None] + length / 2 * _GL_NODES
+    coeffs = _stacked_coefficients(kernels)[np.arange(len(kernels))[:, None], pieces[:, cells]]
+    values = _horner(coeffs[:, :, None, :], nodes)
+    centre = values[..., 1]
     b = float(sys.b)
-    length = float(step)
-    rows = np.empty((cells.size, len(kernels)))
-    for j, (kernel, piece, split) in enumerate(zip(kernels, pieces, splits)):
-        values = _horner(_coefficient_table(kernel)[piece[cells]][:, None, :], nodes)
-        centre = values[:, 1:2]
-        rows[:, j] = b * (centre[:, 0] + ((values - centre) * (_GL_WEIGHTS / 2)).sum(axis=1))
-        for i in np.flatnonzero(split[cells]).tolist():
-            k = int(cells[i])
-            cell = Cell((Interval(sys.t0 + k * step, sys.t0 + (k + 1) * step),))
-            rows[i, j] = b * float(integrate_eta(kernel, cell)) / length
+    rows = np.ascontiguousarray(
+        (b * (centre + ((values - centre[..., None]) * (_GL_WEIGHTS / 2)).sum(axis=-1))).T)
+    bounds: dict[int, Cell] = {}
+    for j, i in zip(*np.nonzero(splits[:, cells])):
+        k = int(cells[i])
+        if k not in bounds:
+            bounds[k] = Cell((Interval(Fraction(start + k * step, den),
+                                       Fraction(start + (k + 1) * step, den)),))
+        rows[i, j] = b * float(integrate_eta(kernels[j], bounds[k])) / length
     return kept, rows
 
 
@@ -434,28 +459,22 @@ def _augmented_curve_samples(sys: ImpulseSystem, cons: ConstraintSpec,
     left limit at its time and with the right one, so a sample's piece is
     the number of a kernel's keys up to the sample, less one: one integer
     search per kernel.  A kept time's float is the quotient num / D, which
-    Python rounds correctly.
+    Python rounds correctly, and one Horner pass evaluates every kernel there.
     """
     kernels = sys.pi + cons.s
-    a, d = sys.t0.as_integer_ratio()
-    p, q = (sys.theta0 - sys.t0).as_integer_ratio()
-    q *= t_grid_size - 1  # grid time k is a / d + k p / q
-    den = math.lcm(d, q, *(t.denominator for kernel in kernels for t in kernel.breakpoints))
-    start, step = a * (den // d), p * (den // q)
+    den, start, step = _integer_grid(sys.t0, (sys.theta0 - sys.t0) / (t_grid_size - 1),
+                                     kernels)
     breaks = [[t.numerator * (den // t.denominator) for t in kernel.breakpoints]
               for kernel in kernels]
     times = sorted(set(range(start, start + t_grid_size * step, step)).union(*breaks))
     number = {t: i for i, t in enumerate(times)}
     samples = np.arange(1, 2 * len(times) - 1)
-    pieces = [np.searchsorted([2 * number[t] + 1 for t in keys], samples, side="right") - 1
-              for keys in breaks]
-    kept = _kept_sites(kernels, pieces, [np.zeros(samples.size, dtype=bool)] * len(kernels))
+    pieces = np.array([np.searchsorted([2 * number[t] + 1 for t in keys], samples,
+                                       side="right") - 1 for keys in breaks])
+    kept = _kept_sites(kernels, pieces, np.zeros(pieces.shape, dtype=bool))
     at = np.array([times[s // 2] / den for s in samples[kept].tolist()])
-    b = float(sys.b)
-    rows = np.empty((at.size, len(kernels)))
-    for j, (kernel, piece) in enumerate(zip(kernels, pieces)):
-        rows[:, j] = b * _horner(_coefficient_table(kernel)[piece[kept]], at)
-    return kept, rows
+    coeffs = _stacked_coefficients(kernels)[np.arange(len(kernels))[:, None], pieces[:, kept]]
+    return kept, np.ascontiguousarray((float(sys.b) * _horner(coeffs, at)).T)
 
 
 def universal_mp(sys: ImpulseSystem, cons: ConstraintSpec,

@@ -1,7 +1,10 @@
 """Dense two-phase simplex and the shadow-vertex sweep of the set projections.
 
 Problems here are tiny (a few dozen rows, up to about a thousand columns),
-so a plain dense tableau is plenty.  The sweep takes x >= 0 subject to
+so a plain dense tableau is plenty.  A pivot is one rank-1 update of the
+whole tableau: a fixed number of numpy calls, and rows x columns
+multiply-subtracts, so on the bench family's 31 x 50 tableaux its cost is
+mostly call overhead.  The sweep takes x >= 0 subject to
 A_eq x = b_eq, A_ub x <= b_ub.  Phase 1 starts from the slack basis (Bixby's
 crash basis): every inequality whose right-hand side is >= 0 keeps its slack
 basic, and only the other rows get an artificial.  Phase 1 and the start at
@@ -32,11 +35,17 @@ UNBOUNDED = "unbounded"
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    """Make col basic in row: one rank-1 update of the whole tableau.
+
+    Every other row r loses T[r, col] times the scaled pivot row, so the
+    entries the update changes get the same bits as a row-by-row
+    elimination; a row with T[r, col] = 0 subtracts zeros, which can flip
+    only the sign of a zero entry.
+    """
     T[row] /= T[row, col]
-    piv = T[row]
-    for r in range(T.shape[0]):
-        if r != row and T[r, col] != 0.0:
-            T[r] -= T[r, col] * piv
+    factor = T[:, col].copy()
+    factor[row] = 0.0
+    T -= np.multiply.outer(factor, T[row])
     basis[row] = col
 
 
@@ -47,16 +56,17 @@ def _leaving_row(T: np.ndarray, basis: np.ndarray, col: int, bland: bool) -> Opt
     basic column.
     """
     m = basis.size
-    ratios = np.full(m, np.inf)
-    pos = T[:m, col] > EPS
-    ratios[pos] = T[:m, -1][pos] / T[:m, col][pos]
-    best = np.min(ratios)
-    if not np.isfinite(best):
+    pivots = T[:m, col]
+    ratios = np.divide(T[:m, -1], pivots, out=np.full(m, np.inf), where=pivots > EPS)
+    best = ratios.min()
+    if best == np.inf:
         return None
-    candidates = np.nonzero(ratios <= best + EPS)[0]
+    candidates = (ratios <= best + EPS).nonzero()[0]
+    if candidates.size == 1:
+        return int(candidates[0])
     if bland:
         return int(candidates[np.argmin(basis[candidates])])
-    return int(candidates[np.argmax(T[candidates, col])])
+    return int(candidates[np.argmax(pivots[candidates])])
 
 
 def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int,
@@ -130,29 +140,33 @@ def _phase1(A: np.ndarray, b: np.ndarray,
         return None
 
     # pivot remaining artificials out of the basis (or drop redundant rows)
-    keep = []
-    for r in range(m):
-        if basis[r] >= total:
-            piv_cols = np.nonzero(np.abs(T[r, :total]) > EPS)[0]
-            if not piv_cols.size:
-                continue
+    keep = np.ones(m, dtype=bool)
+    for r in np.flatnonzero(basis >= total).tolist():
+        piv_cols = np.flatnonzero(np.abs(T[r, :total]) > EPS)
+        if piv_cols.size:
             _pivot(T, basis, r, int(piv_cols[0]))
-        keep.append(r)
-    return np.hstack([T[keep, :total], T[keep, -1:]]), basis[keep]
+        else:
+            keep[r] = False
+    return np.hstack([T[:m][keep, :total], T[:m][keep, -1:]]), basis[keep]
 
 
 def _with_costs(rows: np.ndarray, basis: np.ndarray,
                 costs: Sequence[np.ndarray]) -> np.ndarray:
-    """The tableau: the constraint rows, then each cost's reduced-cost row."""
+    """The tableau: the constraint rows, then each cost's reduced-cost row.
+
+    The basic columns of rows are unit vectors, so each cost row is c less
+    c[basis[r]] times row r over the rows with c[basis[r]] != 0, subtracted
+    in row order: a subtract.accumulate, whose order is fixed.
+    """
     m = basis.size
     T = np.zeros((m + len(costs), rows.shape[1]))
     T[:m] = rows
     for i, c in enumerate(costs):
         T[m + i, :c.size] = c
-        for r in range(m):
-            col = basis[r]
-            if T[m + i, col] != 0.0:
-                T[m + i] -= T[m + i, col] * T[r]
+        coef = T[m + i, basis]
+        used = np.flatnonzero(coef)
+        terms = np.vstack([T[m + i], coef[used, None] * rows[used]])
+        T[m + i] = np.subtract.accumulate(terms, axis=0)[-1]
     return T
 
 
@@ -197,7 +211,7 @@ def shadow_vertices(c1: Sequence[float], c2: Sequence[float],
         step = np.mod(np.arctan2(r2, r1) + math.pi / 2 - theta, 2 * math.pi)
         step[step > 1.5 * math.pi] = 0.0
         step[np.hypot(r1, r2) <= EPS] = np.inf  # basic columns' are exactly 0
-        col = int(np.argmin(step))
+        col = int(step.argmin())
         theta += step[col]
         if not theta < 2 * math.pi:
             return visited

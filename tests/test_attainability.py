@@ -904,6 +904,90 @@ def test_projection_supports_match_highs_on_random_clouds():
                 assert abs(got + res.fun) <= 1e-9 * max(1.0, abs(res.fun))
 
 
+SCALES = [1e-9, 1e-6, 3e-7, 1.0, 1e6, 1e9]
+
+
+def velocity_box_sets(lam):
+    """zigzag with b = lam and its velocity at t = 3/4 boxed to [0, lam/4]:
+    relaxed_reach at mesh 64 and epsilon lam/100, universal_mp on 129 grid
+    times, and short_impulse_mp."""
+    sys, _ = build_double_integrator(zigzag(), 1, 1, lam)
+    cons = ConstraintSpec((velocity_kernel(zigzag(), F(3, 4)),), (((0.0, lam / 4),),),
+                          frozenset({1}))
+    return (relaxed_reach(sys, cons, ReachConfig(64, lam / 100)), universal_mp(sys, cons, 129),
+            short_impulse_mp(sys)), (sys, cons)
+
+
+def scaled_set(ps, s):
+    def scale(p):
+        return tuple(s * float(c) for c in p)
+    return PlanarSet(points=tuple(map(scale, ps.points)),
+                     segments=tuple(tuple(map(scale, seg)) for seg in ps.segments),
+                     polygons=tuple(tuple(map(scale, poly)) for poly in ps.polygons))
+
+
+def set_numbers(ps):
+    """Every coordinate and arc coefficient of ps, in order."""
+    corners = set_corners(ps).ravel().tolist()
+    return corners + [float(c) for arc in ps.arcs for cs in arc.coeffs for c in cs]
+
+
+@pytest.mark.parametrize("lam", SCALES)
+def test_sets_scale_with_b_the_target_and_epsilon(lam):
+    # the sweep's thresholds act on rows scaled to [1/2, 1) per coordinate, so
+    # scaling b, the target box and epsilon by lam scales every set by lam
+    (reach, mp, short), (sys, cons) = velocity_box_sets(lam)
+    (reach1, mp1, short1), (sys1, cons1) = velocity_box_sets(1.0)
+    for got, want in [(reach, reach1), (mp, mp1)]:
+        extent = float(np.max(np.abs(set_corners(want))))
+        assert hausdorff_distance(scaled_set(got, 1 / lam), want) <= 1e-12 * extent
+    got, want = np.array(set_numbers(short)), np.array(set_numbers(short1))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got / lam - want)) <= 1e-12 * np.max(np.abs(want))
+    # and so every coincidence distance
+    schedule = [(16, lam / 10), (32, lam / 20)]
+    report = coincidence_check(sys, cons, schedule, t_grid_size=65).to_json()
+    report1 = coincidence_check(sys1, cons1, [(16, 0.1), (32, 0.05)], t_grid_size=65).to_json()
+    extent = float(np.max(np.abs(set_corners(mp1))))
+    for entry, entry1 in zip(report["entries"], report1["entries"]):
+        for key in ("d_full_partial", "d_full_universal", "d_partial_universal"):
+            assert abs(entry[key] / lam - entry1[key]) <= 1e-12 * extent, key
+        assert entry["partial_inside_full"] == entry1["partial_inside_full"]
+    assert report["distances_decrease"] == report1["distances_decrease"]
+
+
+@pytest.mark.parametrize("lam", SCALES)
+def test_sweep_hulls_scale_with_family_members(monkeypatch, lam):
+    # the hull of the points each sweep visits, before they are rounded for
+    # printing, scales by lam on bench family members too
+    def raw_hulls(member, lam, mp):
+        switch, times, w = member
+        c = PiecewiseFn.build([0, switch, 1], [[1], [-1]])
+        sys, _ = build_double_integrator(c, 1, 1, lam)
+        kernels = []
+        for t in times:
+            kernels += [position_kernel(c, t), velocity_kernel(c, t)]
+        cons = ConstraintSpec(tuple(kernels), (((-lam * float(w), lam * float(w)),) * 14,))
+        hulls = []
+        monkeypatch.setattr(attainability, "hull_piece",
+                            lambda points: hulls.append(convex_hull_2d(points)) or PlanarSet())
+        if mp:
+            universal_mp(sys, cons, 65)
+        else:
+            relaxed_reach(sys, cons, ReachConfig(64, lam / 100))
+        return [PlanarSet(polygons=(tuple(hull),)) for hull in hulls]
+
+    rng = random.Random("scaled family")
+    for _ in range(4):
+        member = (F(rng.randint(100, 900), 1000),
+                  sorted(F(k, 1000) for k in rng.sample(range(50, 951), 7)),
+                  F(rng.randint(125, 500), 1000))
+        for mp in (False, True):
+            (got,), (want,) = raw_hulls(member, lam, mp), raw_hulls(member, 1.0, mp)
+            extent = float(np.max(np.abs(set_corners(want))))
+            assert hausdorff_distance(scaled_set(got, 1 / lam), want) <= 1e-12 * extent
+
+
 # bench family members (thrust switch, 7 constraint times, half-width, mesh)
 # whose sweeps visit a hull corner twice, a few ulps apart: fine-mesh seed 12
 # input 10, and wide-fan seed 20 input 8 at its reach mesh.  On the second, a

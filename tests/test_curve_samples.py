@@ -2,7 +2,8 @@
 
 reference_samples is the earlier _augmented_curve_samples: it merges the
 grid times and the kernel breakpoints as Fractions, finds each one-sided
-limit's piece by bisect, and rounds each kept time by float(t).  It is slow
+limit's piece by bisect, rounds each kept time by float(t), and evaluates
+one kernel at a time from that kernel's own float table.  It is slow
 but plainly right.  The rewrite must hand _kept_sites the same pieces and
 return the same kept mask and the same row bits.
 """
@@ -20,7 +21,6 @@ import pytest
 from impulse_reach import attainability
 from impulse_reach.attainability import (
     _augmented_curve_samples,
-    _coefficient_table,
     _horner,
     _kept_sites,
 )
@@ -45,6 +45,14 @@ DOMAIN_IDS = ["unit", "offset"]
 CUTS = (F(1, 7), F(3, 11), F(5, 13), F(1, 4), F(1, 2))
 
 
+def reference_coefficient_table(kernel):
+    """The kernel's pieces as float rows, low degree first, zero-padded to MAX_DEGREE."""
+    table = np.zeros((len(kernel.pieces), MAX_DEGREE + 1))
+    for i, coeffs in enumerate(kernel.pieces):
+        table[i, :len(coeffs)] = [float(c) for c in coeffs]
+    return table
+
+
 def reference_samples(sys, cons, t_grid_size):
     kernels = sys.pi + cons.s
     times = {sys.t0 + Fraction(k, t_grid_size - 1) * (sys.theta0 - sys.t0)
@@ -61,7 +69,7 @@ def reference_samples(sys, cons, t_grid_size):
     b = float(sys.b)
     rows = np.empty((at.size, len(kernels)))
     for j, (kernel, piece) in enumerate(zip(kernels, pieces)):
-        rows[:, j] = b * _horner(_coefficient_table(kernel)[piece[kept]], at)
+        rows[:, j] = b * _horner(reference_coefficient_table(kernel)[piece[kept]], at)
     return kept, rows
 
 

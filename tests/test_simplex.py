@@ -1,11 +1,19 @@
 import itertools
 import random
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from impulse_reach import simplex
+from impulse_reach import attainability, simplex
+from impulse_reach.dynamics import (
+    ConstraintSpec,
+    build_double_integrator,
+    position_kernel,
+    velocity_kernel,
+)
 from impulse_reach.errors import NumericError
+from impulse_reach.piecewise import PiecewiseFn
 from impulse_reach.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, shadow_vertices
 
 from conftest import solve_lp
@@ -326,3 +334,130 @@ def test_random_lps_with_mixed_signs_and_redundant_rows_against_vertex_enumerati
             assert res.value == pytest.approx(oracle, abs=1e-7)
             solved += 1
     assert solved > 50
+
+
+# -- whole-array updates against the row-by-row code they replaced ---------------
+
+
+def reference_pivot(T, basis, row, col):
+    T[row] /= T[row, col]
+    piv = T[row]
+    for r in range(T.shape[0]):
+        if r != row and T[r, col] != 0.0:
+            T[r] -= T[r, col] * piv
+    basis[row] = col
+
+
+def reference_leaving_row(T, basis, col, bland):
+    m = basis.size
+    ratios = np.full(m, np.inf)
+    pos = T[:m, col] > simplex.EPS
+    ratios[pos] = T[:m, -1][pos] / T[:m, col][pos]
+    best = np.min(ratios)
+    if not np.isfinite(best):
+        return None
+    candidates = np.nonzero(ratios <= best + simplex.EPS)[0]
+    if bland:
+        return int(candidates[np.argmin(basis[candidates])])
+    return int(candidates[np.argmax(T[candidates, col])])
+
+
+def reference_with_costs(rows, basis, costs):
+    m = basis.size
+    T = np.zeros((m + len(costs), rows.shape[1]))
+    T[:m] = rows
+    for i, c in enumerate(costs):
+        T[m + i, :c.size] = c
+        for r in range(m):
+            col = basis[r]
+            if T[m + i, col] != 0.0:
+                T[m + i] -= T[m + i, col] * T[r]
+    return T
+
+
+def test_pivot_matches_row_by_row_elimination():
+    # rows with a zero in the pivot column subtract zeros, which may flip the
+    # sign of a zero entry, so the tableaux are compared by value
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        m, n = int(rng.integers(1, 32)), int(rng.integers(2, 60))
+        T = rng.uniform(-3.0, 3.0, (m, n))
+        T[rng.random((m, n)) < 0.3] = 0.0
+        row, col = int(rng.integers(m)), int(rng.integers(n - 1))
+        T[row, col] = rng.choice([-1.0, 1.0]) * rng.uniform(0.25, 4.0)
+        basis = rng.integers(0, n - 1, m)
+        got, want = T.copy(), T.copy()
+        got_basis, want_basis = basis.copy(), basis.copy()
+        simplex._pivot(got, got_basis, row, col)
+        reference_pivot(want, want_basis, row, col)
+        assert np.array_equal(got, want)
+        assert got_basis.tolist() == want_basis.tolist()
+        assert got[:, col].tolist() == np.eye(m)[row].tolist()
+
+
+def test_ratio_test_matches_the_per_row_code():
+    # small integer entries make equal ratios and equal pivots common
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        m = int(rng.integers(1, 12))
+        T = rng.integers(-3, 4, (m + 1, 7)).astype(float)
+        T[:m, -1] = np.abs(T[:m, -1])
+        basis = rng.permutation(20)[:m]
+        for col in range(6):
+            for bland in (False, True):
+                assert (simplex._leaving_row(T, basis, col, bland)
+                        == reference_leaving_row(T, basis, col, bland))
+
+
+def test_cost_rows_match_the_per_row_code():
+    # canonical rows: basic column basis[r] is the unit vector e_r
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        m, n = int(rng.integers(1, 12)), int(rng.integers(12, 40))
+        rows = rng.uniform(-3.0, 3.0, (m, n + 1))
+        rows[rng.random((m, n + 1)) < 0.2] = 0.0
+        basis = rng.permutation(n)[:m]
+        rows[:, basis] = np.eye(m)
+        costs = [rng.uniform(-2.0, 2.0, n) for _ in range(2)]
+        for c in costs:
+            c[rng.random(n) < 0.3] = 0.0
+        assert (simplex._with_costs(rows, basis, costs).tobytes()
+                == reference_with_costs(rows, basis, costs).tobytes())
+
+
+def family_sweeps():
+    """The arguments of every sweep that relaxed_reach and universal_mp run
+    on bench family members, under constant and under affine thrust."""
+    lps = []
+    rng = random.Random("family sweeps")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(attainability, "shadow_vertices", lambda *lp: lps.append(lp))
+        for thrust in ([[1], [-1]], [[1, -1], [-1, 1]]):
+            for _ in range(8):
+                c = PiecewiseFn.build([0, F(rng.randint(100, 900), 1000), 1], thrust)
+                sys, _ = build_double_integrator(c, 1, 1, 1)
+                kernels = []
+                for t in sorted(F(k, 1000) for k in rng.sample(range(50, 951), 7)):
+                    kernels += [position_kernel(c, t), velocity_kernel(c, t)]
+                w = F(rng.randint(125, 500), 1000)
+                cons = ConstraintSpec(tuple(kernels), (((-w, w),) * 14,))
+                attainability.relaxed_reach(sys, cons, attainability.ReachConfig(64, F(1, 100)))
+                attainability.universal_mp(sys, cons, 65)
+    return lps
+
+
+def test_sweep_visits_the_points_of_the_row_by_row_code(monkeypatch):
+    for c1, c2, A_eq, b_eq, A_ub, b_ub in family_sweeps():
+        got = shadow_vertices(c1, c2, A_eq, b_eq, A_ub, b_ub)
+        A, b = simplex._standard_form(len(c1), A_eq, b_eq, A_ub, b_ub)
+        rows, basis = simplex._phase1(A, b, 200 * sum(A.shape))
+        costs = [np.asarray(c2, float), np.asarray(c1, float)]
+        assert (simplex._with_costs(rows, basis, costs).tobytes()
+                == reference_with_costs(rows, basis, costs).tobytes())
+        with monkeypatch.context() as mp:
+            mp.setattr(simplex, "_pivot", reference_pivot)
+            mp.setattr(simplex, "_leaving_row", reference_leaving_row)
+            mp.setattr(simplex, "_with_costs", reference_with_costs)
+            want = shadow_vertices(c1, c2, A_eq, b_eq, A_ub, b_ub)
+        assert len(got) == len(want) > 1
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
