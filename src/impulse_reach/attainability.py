@@ -296,7 +296,6 @@ def _project(gens: np.ndarray,
         raise DomainError("need at least 3 fan directions")
     exponents = np.frexp(np.abs(gens).max(axis=0))[1]
     gens = np.ldexp(gens, -exponents)
-    terminal = gens[:, :2].T
     result = PlanarSet()
     for box in boxes:
         eq_rows, eq_rhs = [np.ones(gens.shape[0])], [1.0]
@@ -316,11 +315,10 @@ def _project(gens: np.ndarray,
                 ub_rows.append(-row)
                 ub_rhs.append(-lo)
         A_ub = np.vstack(ub_rows) if ub_rows else None
-        visited = shadow_vertices(-terminal[0], -terminal[1], np.vstack(eq_rows), eq_rhs,
+        visited = shadow_vertices(-gens[:, 0], -gens[:, 1], np.vstack(eq_rows), eq_rhs,
                                   A_ub, ub_rhs)
         if visited is not None:
-            result = result.merge(hull_piece([np.ldexp(terminal @ x, exponents[:2])
-                                              for x in visited]))
+            result = result.merge(hull_piece([np.ldexp(p, exponents[:2]) for p in visited]))
     return result
 
 
@@ -366,8 +364,10 @@ def _kept_sites(kernels: Sequence[PiecewiseFn], pieces: np.ndarray,
     of kernels[j], and splits[j, k] says a breakpoint of it splits the site.
 
     Site k is dropped when sites k-1 and k+1 lie in one piece of every kernel,
-    none of the three is split, and each such piece has degree <= 1: the three
-    rows are then one affine map's values at increasing times.  Each run of
+    site k+1 is not split, and each such piece has degree <= 1: the three rows
+    are then one affine map's values at increasing times.  Only site k+1's
+    split is read: a breakpoint that splits site k-1 or k starts a new piece
+    at site k or k+1, so the piece test already keeps site k.  Each run of
     dropped sites keeps its two ends, so the hull of the rows is unchanged.
     """
     pieces, splits = np.asarray(pieces), np.asarray(splits)
@@ -376,8 +376,7 @@ def _kept_sites(kernels: Sequence[PiecewiseFn], pieces: np.ndarray,
                        for k in kernels])
     affine = affine[np.arange(len(kernels))[:, None], pieces[:, 1:-1]]
     drop = np.zeros(pieces.shape[1], dtype=bool)
-    drop[1:-1] = ((pieces[:, :-2] == pieces[:, 2:]) & affine
-                  & ~(splits[:, :-2] | splits[:, 1:-1] | splits[:, 2:])).all(axis=0)
+    drop[1:-1] = ((pieces[:, :-2] == pieces[:, 2:]) & affine & ~splits[:, 2:]).all(axis=0)
     return ~drop
 
 

@@ -8,6 +8,7 @@ ints or floats; mixed arithmetic degrades to float as usual.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -22,6 +23,7 @@ def rat(value: Number | str) -> Fraction:
 
     Accepts Fraction, int, "p/q" or decimal strings, and floats (floats are
     re-read through their shortest decimal form, so a JSON 0.5 means 1/2).
+    A zero denominator, an infinity or a NaN raises ValueError.
     """
     if isinstance(value, Fraction):
         return value
@@ -30,7 +32,10 @@ def rat(value: Number | str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"{value!r} has a zero denominator") from None
     if isinstance(value, float):
         return Fraction(repr(value))
     raise TypeError(f"cannot interpret {value!r} as a rational")
@@ -57,11 +62,14 @@ def num_to_json(value: Number) -> Union[int, float, str]:
 
 
 def num_from_json(value: Union[int, float, str]) -> Number:
-    """Inverse of num_to_json; "p/q" strings come back as Fractions."""
+    """Inverse of num_to_json; "p/q" strings come back as Fractions, read by
+    rat.  A non-finite float (JSON 1e999) raises ValueError."""
     if isinstance(value, str):
-        return Fraction(value)
+        return rat(value)
     if isinstance(value, bool):
         raise TypeError("boolean is not a number here")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{value!r} is not a finite number")
     return value
 
 

@@ -16,6 +16,9 @@ cost rows through every pivot and walks, as theta runs once around the
 circle, the bases optimal for cos(theta) c1 + sin(theta) c2.  Their points
 (-c1.x, -c2.x) run counterclockwise through every vertex of the feasible
 set's image under that map, so the walk enumerates the polygon exactly.
+One tableau serves a whole sweep: phase 1 seeds the cost rows against its
+starting basis and carries them through its own pivots, and each visited
+point is the pair of the cost rows' right-hand sides.
 """
 
 from __future__ import annotations
@@ -106,7 +109,7 @@ def _standard_form(n: int, A_eq, b_eq, A_ub, b_ub) -> tuple[np.ndarray, np.ndarr
     return A, np.array([*(b_ub if m else ()), *(b_eq if A_eq.shape[0] else ())], dtype=float)
 
 
-def _phase1(A: np.ndarray, b: np.ndarray,
+def _phase1(A: np.ndarray, b: np.ndarray, costs: Sequence[np.ndarray],
             max_iter: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """A feasible basis of A x = b, x >= 0, or None when there is none.
 
@@ -114,9 +117,12 @@ def _phase1(A: np.ndarray, b: np.ndarray,
     equal to e_r (an unflipped inequality's slack) starts with the first
     such column basic, which is feasible as b_r >= 0.  Each other row (a
     flipped inequality, an equality) gets an artificial, and phase 1 drives
-    the artificials' sum to zero.  Returns the tableau rows over the columns
-    of A and the right-hand side, and the basis.  Rows that turn out
-    redundant are dropped.
+    the artificials' sum to zero.  Each cost c gets one reduced-cost row,
+    c less c[basis[r]] times row r over the unit-column rows with
+    c[basis[r]] != 0, subtracted in row order (artificials cost nothing);
+    the rows ride along every phase-1 pivot.  Returns the tableau over the
+    columns of A and the right-hand side, the constraint rows then one row
+    per cost, and the basis.  Rows that turn out redundant are dropped.
     """
     neg = b < 0
     A[neg] *= -1.0
@@ -128,11 +134,17 @@ def _phase1(A: np.ndarray, b: np.ndarray,
     basis = np.full(m, -1)
     basis[rows] = unit[first]
     art = np.flatnonzero(basis < 0)
-    basis[art] = total + np.arange(art.size)
-    T = np.zeros((m + 1, total + art.size + 1))
+    T = np.zeros((m + len(costs) + 1, total + art.size + 1))
     T[:m, :total] = A
-    T[art, total + np.arange(art.size)] = 1.0
     T[:m, -1] = b
+    for i, c in enumerate(costs):
+        T[m + i, :c.size] = c
+        coef = T[m + i, basis[rows]]
+        used = coef != 0.0
+        terms = np.vstack([T[m + i], coef[used, None] * T[rows[used]]])
+        T[m + i] = np.subtract.accumulate(terms, axis=0)[-1]
+    basis[art] = total + np.arange(art.size)
+    T[art, basis[art]] = 1.0
     T[-1, :total] = -A[art].sum(axis=0)
     T[-1, -1] = -b[art].sum()
     status = _run_simplex(T, basis, total + art.size, max_iter)
@@ -140,47 +152,23 @@ def _phase1(A: np.ndarray, b: np.ndarray,
         return None
 
     # pivot remaining artificials out of the basis (or drop redundant rows)
-    keep = np.ones(m, dtype=bool)
+    keep = np.ones(T.shape[0], dtype=bool)
+    keep[-1] = False  # the phase-1 objective
     for r in np.flatnonzero(basis >= total).tolist():
         piv_cols = np.flatnonzero(np.abs(T[r, :total]) > EPS)
         if piv_cols.size:
             _pivot(T, basis, r, int(piv_cols[0]))
         else:
             keep[r] = False
-    return np.hstack([T[:m][keep, :total], T[:m][keep, -1:]]), basis[keep]
-
-
-def _with_costs(rows: np.ndarray, basis: np.ndarray,
-                costs: Sequence[np.ndarray]) -> np.ndarray:
-    """The tableau: the constraint rows, then each cost's reduced-cost row.
-
-    The basic columns of rows are unit vectors, so each cost row is c less
-    c[basis[r]] times row r over the rows with c[basis[r]] != 0, subtracted
-    in row order: a subtract.accumulate, whose order is fixed.
-    """
-    m = basis.size
-    T = np.zeros((m + len(costs), rows.shape[1]))
-    T[:m] = rows
-    for i, c in enumerate(costs):
-        T[m + i, :c.size] = c
-        coef = T[m + i, basis]
-        used = np.flatnonzero(coef)
-        terms = np.vstack([T[m + i], coef[used, None] * rows[used]])
-        T[m + i] = np.subtract.accumulate(terms, axis=0)[-1]
-    return T
-
-
-def _basic_solution(T: np.ndarray, basis: np.ndarray, n: int) -> np.ndarray:
-    x = np.zeros(T.shape[1] - 1)
-    x[basis] = T[:basis.size, -1]
-    return x[:n]
+    return np.hstack([T[keep, :total], T[keep, -1:]]), basis[keep[:m]]
 
 
 def shadow_vertices(c1: Sequence[float], c2: Sequence[float],
                     A_eq: np.ndarray, b_eq: Sequence[float],
                     A_ub: Optional[np.ndarray] = None,
                     b_ub: Optional[Sequence[float]] = None) -> Optional[list[np.ndarray]]:
-    """The x of every basis the sweep visits, in order; None when infeasible.
+    """The point (-c1.x, -c2.x) of every basis the sweep visits, in order;
+    None when infeasible.
 
     Each basis is optimal for min (cos(theta) c1 + sin(theta) c2).x on an arc
     of theta.  The sweep optimizes for theta = 0, then repeatedly advances
@@ -189,23 +177,23 @@ def shadow_vertices(c1: Sequence[float], c2: Sequence[float],
     column's step lies in [0, pi]; one above 3 pi / 2 is a rounded-negative
     reduced cost and enters now.  Columns with |(r1, r2)| <= EPS, the basic
     ones among them, never enter, and equal steps go to the smallest column
-    index.  The feasible set must be bounded.
+    index.  The feasible set must be bounded.  The two cost rows come from
+    phase 1 and ride through every pivot, so a basis's point is their
+    right-hand sides, -c1.x and -c2.x; x itself is never formed.
     """
     c1 = np.asarray(c1, dtype=float)
     c2 = np.asarray(c2, dtype=float)
-    n = c1.size
-    A, b = _standard_form(n, A_eq, b_eq, A_ub, b_ub)
+    A, b = _standard_form(c1.size, A_eq, b_eq, A_ub, b_ub)
     max_iter = 200 * sum(A.shape)
-    start = _phase1(A, b, max_iter)
+    start = _phase1(A, b, [c2, c1], max_iter)  # theta = 0 optimizes the last row
     if start is None:
         return None
-    rows, basis = start
-    m, total = basis.size, rows.shape[1] - 1
-    T = _with_costs(rows, basis, [c2, c1])  # theta = 0 optimizes the last row
+    T, basis = start
+    m, total = basis.size, T.shape[1] - 1
     if _run_simplex(T, basis, total, max_iter) != OPTIMAL:
         raise NumericError("shadow-vertex sweep over an unbounded set")
     r2, r1 = T[m, :total], T[m + 1, :total]  # views that every pivot updates
-    visited = [_basic_solution(T, basis, n)]
+    visited = [T[[m + 1, m], -1]]
     theta = 0.0
     for _ in range(max_iter):
         step = np.mod(np.arctan2(r2, r1) + math.pi / 2 - theta, 2 * math.pi)
@@ -219,5 +207,5 @@ def shadow_vertices(c1: Sequence[float], c2: Sequence[float],
         if row is None:
             raise NumericError("shadow-vertex sweep over an unbounded set")
         _pivot(T, basis, row, col)
-        visited.append(_basic_solution(T, basis, n))
+        visited.append(T[[m + 1, m], -1])
     raise NumericError("shadow-vertex sweep iteration limit reached")

@@ -151,12 +151,12 @@ def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> LPResult:
     n = c.size
     A, b = simplex._standard_form(n, A_eq, b_eq, A_ub, b_ub)
     max_iter = 200 * sum(A.shape)
-    start = simplex._phase1(A, b, max_iter)
+    start = simplex._phase1(A, b, [c], max_iter)
     if start is None:
         return LPResult(simplex.INFEASIBLE, None, np.inf)
-    rows, basis = start
-    T = simplex._with_costs(rows, basis, [c])
-    if simplex._run_simplex(T, basis, rows.shape[1] - 1, max_iter) == simplex.UNBOUNDED:
+    T, basis = start
+    if simplex._run_simplex(T, basis, T.shape[1] - 1, max_iter) == simplex.UNBOUNDED:
         return LPResult(simplex.UNBOUNDED, None, -np.inf)
-    x = simplex._basic_solution(T, basis, n)
-    return LPResult(simplex.OPTIMAL, x, float(c @ x))
+    x = np.zeros(T.shape[1] - 1)
+    x[basis] = T[:basis.size, -1]
+    return LPResult(simplex.OPTIMAL, x[:n], float(c @ x[:n]))

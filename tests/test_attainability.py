@@ -990,8 +990,11 @@ def test_sweep_hulls_scale_with_family_members(monkeypatch, lam):
 
 # bench family members (thrust switch, 7 constraint times, half-width, mesh)
 # whose sweeps visit a hull corner twice, a few ulps apart: fine-mesh seed 12
-# input 10, and wide-fan seed 20 input 8 at its reach mesh.  On the second, a
-# hull that drops both copies of such a corner drops a true vertex
+# input 10, and wide-fan seed 20 input 8 at its reach mesh.  The tests check
+# that the set keeps its true vertices there.  With the visited points read
+# off the sweep's cost rows, an earlier hull that could drop both copies of
+# such a corner passes them too; test_hull_keeps_a_corner_visited_twice_one_ulp_apart
+# is the direct guard
 CORNER_TWICE_MEMBERS = {
     "fine-mesh": (F(179, 500), (F(29, 100), F(393, 1000), F(211, 500), F(43, 100),
                                 F(573, 1000), F(159, 250), F(879, 1000)), F(381, 1000), 1024),

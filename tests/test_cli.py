@@ -79,7 +79,28 @@ def test_reach_epsilon_override_changes_full_relaxation(tmp_path):
 
 def test_unparsable_epsilon_exits_2(tmp_path):
     path = reach_scenario(tmp_path)
-    assert main(["reach", "--scenario", str(path), "--epsilon", "abc"]) == 2
+    for epsilon in ("abc", "1/0", "inf"):
+        assert main(["reach", "--scenario", str(path), "--epsilon", epsilon]) == 2
+
+
+@pytest.mark.parametrize("literal", ['"1/0"', "1e999"], ids=["1/0", "1e999"])
+@pytest.mark.parametrize("where", ["b", "box bound", "coefficient", "task epsilon"])
+def test_a_zero_denominator_or_an_infinite_number_exits_2(tmp_path, capsys, where, literal):
+    # JSON reads 1e999 as an infinite float
+    raw = json.loads(VELOCITY_PIN.read_text())
+    if where == "b":
+        raw["b"] = "BAD"
+    elif where == "box bound":
+        raw["constraints"]["Y"] = [[["0", "BAD"]]]
+    elif where == "coefficient":
+        raw["c"]["pieces"] = [["BAD"]]
+    else:
+        raw["task"]["epsilon"] = "BAD"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw).replace('"BAD"', literal))
+    for command in ("reach", "check"):
+        assert main([command, "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err.count("validation error") == 2
 
 
 def test_reach_mesh_override(tmp_path):
