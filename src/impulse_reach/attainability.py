@@ -19,11 +19,12 @@ One projection engine maps either hull to the terminal plane: per box, one
 shadow-vertex sweep of the simplex enumerates the vertices of the sliced
 hull's image, so each piece is that polygon exactly, up to rounding.  It
 first scales each coordinate by a power of two, so scaling b, the boxes and
-epsilon by lambda scales every set by lambda.  The
-directions argument is validated but shapes no set.  short_impulse_mp is the
-exact union of one-sided-limit segments for the vanishing-support constraint
-family.  Every set is planar: systems with other than two terminal kernels
-are rejected.
+epsilon by lambda scales every set by lambda.  Partial relaxation keeps the
+problem's exact coordinates cons.J unrelaxed.  ReachConfig and universal_mp
+validate their directions argument (>= 3), and no set depends on it.
+short_impulse_mp is the exact union of one-sided-limit segments for the
+vanishing-support constraint family.  Every set is planar: systems with
+other than two terminal kernels are rejected.
 Set distances are sup-norm support-function gaps: the sup over a piece a of
 the distance to a convex piece b is max(0, max_u h_a(u) - h_b(u)) over the
 L1 unit directions where the gap can peak, +-e1, +-e2 and the edge normals
@@ -40,7 +41,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import ConstraintSpec, ImpulseSystem
-from .errors import DomainError, EmptySetError, NumericError, PreconditionError
+from .errors import DomainError, EmptySetError, NumericError
 from .intervals import Cell, Interval
 from .piecewise import LEFT, MAX_DEGREE, RIGHT, PiecewiseFn, integrate_eta, poly_eval
 from .rational import Number, fmt_rat, num_to_json
@@ -113,12 +114,14 @@ class PlanarSet:
 class ReachConfig:
     mesh: int
     epsilon: Number
-    directions: int = 360
-    partial_j: Optional[frozenset[int]] = None  # None = relax every coordinate
+    directions: int = 360  # validated only: no set depends on it
+    partial: bool = False  # keep the coordinates cons.J exact
 
     def __post_init__(self) -> None:
         if self.mesh < 1:
             raise DomainError("mesh must be >= 1")
+        if self.directions < 3:
+            raise DomainError("need at least 3 fan directions")
         if not self.epsilon > 0:
             raise DomainError("epsilon must be positive")
 
@@ -262,28 +265,26 @@ def _check_input(sys: ImpulseSystem, cons: Optional[ConstraintSpec] = None) -> N
 
 def relax_box(box: Sequence[tuple[Optional[Number], Optional[Number]]],
               epsilon: Number,
-              partial_j: Optional[frozenset[int]]) -> list[tuple[Optional[float], Optional[float]]]:
-    """Coordinate-wise sup-norm inflation; Partial keeps J coordinates exact."""
+              exact: frozenset[int]) -> list[tuple[Optional[float], Optional[float]]]:
+    """Coordinate-wise sup-norm inflation of every coordinate not in exact
+    (1-based)."""
     out = []
     for j, (lo, hi) in enumerate(box, start=1):
-        exact = partial_j is not None and j in partial_j
-        pad = 0.0 if exact else float(epsilon)
+        pad = 0.0 if j in exact else float(epsilon)
         out.append((None if lo is None else float(lo) - pad,
                     None if hi is None else float(hi) + pad))
     return out
 
 
 def _project(gens: np.ndarray,
-             boxes: Sequence[Sequence[tuple[Optional[Number], Optional[Number]]]],
-             directions: int) -> PlanarSet:
+             boxes: Sequence[Sequence[tuple[Optional[Number], Optional[Number]]]]) -> PlanarSet:
     """Terminal-plane image of the hull of the generator rows, sliced by each box.
 
     gens holds one row per generator: the two terminal coordinates, then the
     constraint coordinates.  For each box the weights x >= 0 with sum x = 1
     are bounded by the box on gens' constraint part, and one shadow-vertex
     sweep of the two terminal costs visits every vertex of that box's piece.
-    An infeasible box contributes nothing.  directions is only validated: no
-    set depends on it.
+    An infeasible box contributes nothing.
 
     Each coordinate is first scaled by the power of two 2^-e that brings its
     largest magnitude into [1/2, 1), its box bounds with it, and the visited
@@ -292,8 +293,6 @@ def _project(gens: np.ndarray,
     absolute thresholds (simplex.EPS, phase 1's) act relative to each
     coordinate's size.
     """
-    if directions < 3:
-        raise DomainError("need at least 3 fan directions")
     exponents = np.frexp(np.abs(gens).max(axis=0))[1]
     gens = np.ldexp(gens, -exponents)
     result = PlanarSet()
@@ -432,17 +431,12 @@ def _mesh_generators(sys: ImpulseSystem, cons: ConstraintSpec,
 
 def relaxed_reach(sys: ImpulseSystem, cons: ConstraintSpec,
                   cfg: ReachConfig) -> PlanarSet:
-    """Terminal-moment image of mesh step controls under the relaxed target."""
+    """Terminal-moment image of mesh step controls under the relaxed target;
+    cfg.partial keeps the coordinates cons.J exact."""
     _check_input(sys, cons)
-    if cfg.partial_j is not None:
-        for j in cfg.partial_j:
-            if not 1 <= j <= cons.n_constraints:
-                raise PreconditionError(f"J index {j} out of range")
-            if not cons.s[j - 1].is_step:
-                raise PreconditionError(
-                    "exact (Partial) coordinates need step constraint kernels")
-    boxes = [relax_box(box, cfg.epsilon, cfg.partial_j) for box in cons.boxes]
-    return _project(_mesh_generators(sys, cons, cfg.mesh)[1], boxes, cfg.directions)
+    exact = cons.J if cfg.partial else frozenset()
+    boxes = [relax_box(box, cfg.epsilon, exact) for box in cons.boxes]
+    return _project(_mesh_generators(sys, cons, cfg.mesh)[1], boxes)
 
 
 def _augmented_curve_samples(sys: ImpulseSystem, cons: ConstraintSpec,
@@ -486,13 +480,15 @@ def universal_mp(sys: ImpulseSystem, cons: ConstraintSpec,
     give the hull exactly; the t_grid_size grid samples are kept only inside
     pieces of degree >= 2, where they give an inner hull.  Each target box
     slices the hull in the constraint coordinates, and one shadow-vertex sweep
-    per box projects it to the terminal coordinates.
+    per box projects it to the terminal coordinates.  directions is only
+    validated: no set depends on it.
     """
     _check_input(sys, cons)
     if t_grid_size < 2:
         raise DomainError("t_grid_size must be at least 2")
-    return _project(_augmented_curve_samples(sys, cons, t_grid_size)[1], cons.boxes,
-                    directions)
+    if directions < 3:
+        raise DomainError("need at least 3 fan directions")
+    return _project(_augmented_curve_samples(sys, cons, t_grid_size)[1], cons.boxes)
 
 
 def short_impulse_mp(sys: ImpulseSystem) -> PlanarSet:
@@ -569,16 +565,17 @@ class CoincidenceReport:
 
 def coincidence_check(sys: ImpulseSystem, cons: ConstraintSpec,
                       schedule: Sequence[tuple[int, Number]],
-                      directions: int = 360, t_grid_size: int = 129) -> CoincidenceReport:
+                      t_grid_size: int = 129) -> CoincidenceReport:
     """Compare the fully-relaxed and partially-relaxed reach sets along a
-    mesh/epsilon schedule against the generalized attraction set."""
+    mesh/epsilon schedule against the generalized attraction set; the partial
+    sets keep the coordinates cons.J exact."""
     if not schedule:
         raise DomainError("coincidence check needs a nonempty schedule")
-    universal = universal_mp(sys, cons, t_grid_size, directions)
+    universal = universal_mp(sys, cons, t_grid_size)
     entries = []
     for mesh, epsilon in schedule:
-        full = relaxed_reach(sys, cons, ReachConfig(mesh, epsilon, directions))
-        partial = relaxed_reach(sys, cons, ReachConfig(mesh, epsilon, directions, cons.J))
+        full = relaxed_reach(sys, cons, ReachConfig(mesh, epsilon))
+        partial = relaxed_reach(sys, cons, ReachConfig(mesh, epsilon, partial=True))
         if full.is_empty or partial.is_empty or universal.is_empty:
             raise NumericError("coincidence check needs nonempty reach sets")
         extent = max(abs(c) for piece in _pieces(full) for p in piece for c in p)

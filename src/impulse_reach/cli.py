@@ -297,8 +297,8 @@ def run_scenario(path: str | Path, command: str, out: Optional[str] = None,
 
     if command in ("reach", "mp", "short-impulse"):
         if command == "reach":
-            J = frozenset(cons.J) if task["relaxation"] == "partial" else None
-            cfg = ReachConfig(task["mesh"], task["epsilon"], task["directions"], J)
+            cfg = ReachConfig(task["mesh"], task["epsilon"], task["directions"],
+                              partial=task["relaxation"] == "partial")
             result = relaxed_reach(system, cons, cfg)
             payload = {"mesh": cfg.mesh, "epsilon": _fmt_num(cfg.epsilon),
                        "directions": cfg.directions,
@@ -346,8 +346,7 @@ def run_scenario(path: str | Path, command: str, out: Optional[str] = None,
                   "results": [{"name": n, "passed": p, "detail": d}
                               for n, p, d in rows]}
         if task["schedule"] is not None:
-            cc = coincidence_check(system, cons, task["schedule"], task["directions"],
-                                   task["t_grid"])
+            cc = coincidence_check(system, cons, task["schedule"], task["t_grid"])
             report["coincidence"] = cc.to_json()
         _emit(dump_json(report), out)
         all_ok = all(p for _, p, _ in rows)
@@ -372,7 +371,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--mesh", type=int)
     parser.add_argument("--epsilon", type=str)
     parser.add_argument("--directions", type=int,
-                        help="at least 3; echoed in the output, shapes no set")
+                        help="reach and mp: at least 3; echoed in the output, "
+                             "shapes no set")
     parser.add_argument("--t-grid", dest="t_grid", type=int,
                         help="time grid of the mp set (also in check), at least 2 "
                              "points; it adds samples only inside kernel pieces of "

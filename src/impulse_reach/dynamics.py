@@ -15,15 +15,8 @@ from typing import Optional
 
 from .errors import DomainError, PreconditionError
 from .intervals import Cell, Interval
-from .measures import FAMeasure, eval_cell, integral, integral_over, membership_xi
-from .piecewise import (
-    PiecewiseFn,
-    indicator,
-    integrate_eta,
-    integrate_product,
-    multiply,
-    step_values,
-)
+from .measures import FAMeasure, eval_cell, indefinite, integral, integral_over, membership_xi
+from .piecewise import PiecewiseFn, indicator, integrate_product, multiply
 from .rational import Number, is_exact, rat
 
 MASS_TOL = 1e-9
@@ -134,15 +127,8 @@ def _check_admissible(f: PiecewiseFn, sys: ImpulseSystem) -> None:
         raise PreconditionError("controls must be step functions")
     if f.domain != sys.domain:
         raise PreconditionError("control domain mismatch")
-    vals = [v for _, _, v in step_values(f)] + list(f.point_values)
-    if any(v < 0 for v in vals):
-        raise PreconditionError("controls must be nonnegative")
-    total = integrate_eta(f, Cell((sys.domain,)))
-    if f.is_exact and is_exact(sys.b):
-        if total != sys.b:
-            raise PreconditionError(f"control impulse {total} != b = {sys.b}")
-    elif abs(total - sys.b) > MASS_TOL * sys.b:
-        raise PreconditionError(f"control impulse {total} != b = {sys.b}")
+    if not _in_cone(indefinite(f), sys.b):
+        raise PreconditionError("control is not nonnegative with total impulse b")
 
 
 def moments(f: PiecewiseFn, sys: ImpulseSystem,

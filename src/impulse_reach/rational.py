@@ -9,6 +9,7 @@ ints or floats; mixed arithmetic degrades to float as usual.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -17,23 +18,33 @@ Number = Union[int, float, Fraction]
 #: significant digits used whenever a float is written to JSON/SVG/CSV
 FLOAT_DIGITS = 12
 
+FLOAT_MAX = int(sys.float_info.max)  # the largest finite float, exactly
+
+
+def _float_sized(value: int | Fraction) -> int | Fraction:
+    """value, unless its magnitude exceeds the largest finite float."""
+    if abs(value) > FLOAT_MAX:
+        raise ValueError("number beyond the largest finite float (about 1.8e308)")
+    return value
+
 
 def rat(value: Number | str) -> Fraction:
     """Coerce a time coordinate to an exact Fraction.
 
     Accepts Fraction, int, "p/q" or decimal strings, and floats (floats are
     re-read through their shortest decimal form, so a JSON 0.5 means 1/2).
-    A zero denominator, an infinity or a NaN raises ValueError.
+    A zero denominator, an infinity, a NaN, and an int or string beyond the
+    largest finite float raise ValueError.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise TypeError("boolean is not a time coordinate")
     if isinstance(value, int):
-        return Fraction(value)
+        return Fraction(_float_sized(value))
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return _float_sized(Fraction(value))
         except ZeroDivisionError:
             raise ValueError(f"{value!r} has a zero denominator") from None
     if isinstance(value, float):
@@ -63,13 +74,16 @@ def num_to_json(value: Number) -> Union[int, float, str]:
 
 def num_from_json(value: Union[int, float, str]) -> Number:
     """Inverse of num_to_json; "p/q" strings come back as Fractions, read by
-    rat.  A non-finite float (JSON 1e999) raises ValueError."""
+    rat.  A non-finite float (JSON 1e999) and an int beyond the largest
+    finite float raise ValueError."""
     if isinstance(value, str):
         return rat(value)
     if isinstance(value, bool):
         raise TypeError("boolean is not a number here")
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{value!r} is not a finite number")
+    if isinstance(value, int):
+        return _float_sized(value)
     return value
 
 

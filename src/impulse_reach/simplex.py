@@ -10,6 +10,9 @@ crash basis): every inequality whose right-hand side is >= 0 keeps its slack
 basic, and only the other rows get an artificial.  Phase 1 and the start at
 theta = 0 run one plain simplex: Dantzig pricing with a largest-pivot ratio
 tie-break, and Bland's rule once the iteration count suggests cycling.
+The simplex fails one way: a ratio test that finds no row, in phase 1 or
+after it, and a pivot count over the cap raise NumericError.  Phase 1
+returns None only when its optimum is positive: the LP is infeasible.
 
 shadow_vertices is the parametric simplex of Gass and Saaty: it carries two
 cost rows through every pivot and walks, as theta runs once around the
@@ -32,9 +35,7 @@ from .errors import NumericError
 
 EPS = 1e-9
 
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"  # not returned here; the tests' LP and the bench tracer read it
-UNBOUNDED = "unbounded"
+INFEASIBLE = "infeasible"  # not returned here; the bench tracer reads it
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -52,18 +53,19 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _leaving_row(T: np.ndarray, basis: np.ndarray, col: int, bland: bool) -> Optional[int]:
-    """The ratio test's row for entering col, or None when col is unbounded.
+def _leaving_row(T: np.ndarray, basis: np.ndarray, col: int, bland: bool) -> int:
+    """The ratio test's row for entering col.
 
     Ties go to the largest pivot, or under Bland's rule to the smallest
-    basic column.
+    basic column.  No row with a pivot above EPS means col is unbounded and
+    raises NumericError; phase 1 is bounded below, so there it is rounding.
     """
     m = basis.size
     pivots = T[:m, col]
     ratios = np.divide(T[:m, -1], pivots, out=np.full(m, np.inf), where=pivots > EPS)
     best = ratios.min()
     if best == np.inf:
-        return None
+        raise NumericError("simplex ratio test found no row: the LP is unbounded")
     candidates = (ratios <= best + EPS).nonzero()[0]
     if candidates.size == 1:
         return int(candidates[0])
@@ -72,8 +74,7 @@ def _leaving_row(T: np.ndarray, basis: np.ndarray, col: int, bland: bool) -> Opt
     return int(candidates[np.argmax(pivots[candidates])])
 
 
-def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int,
-                 max_iter: int) -> str:
+def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int, max_iter: int) -> None:
     """Iterate on a tableau whose last row is the (negated-cost) objective.
 
     The first basis.size rows are the constraints; rows between them and
@@ -86,16 +87,13 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int,
         if bland:
             negs = np.nonzero(obj < -EPS)[0]
             if negs.size == 0:
-                return OPTIMAL
+                return
             col = int(negs[0])
         else:
             col = int(np.argmin(obj))
             if obj[col] >= -EPS:
-                return OPTIMAL
-        row = _leaving_row(T, basis, col, bland)
-        if row is None:
-            return UNBOUNDED
-        _pivot(T, basis, row, col)
+                return
+        _pivot(T, basis, _leaving_row(T, basis, col, bland), col)
     raise NumericError("simplex iteration limit reached")
 
 
@@ -111,7 +109,7 @@ def _standard_form(n: int, A_eq, b_eq, A_ub, b_ub) -> tuple[np.ndarray, np.ndarr
 
 def _phase1(A: np.ndarray, b: np.ndarray, costs: Sequence[np.ndarray],
             max_iter: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """A feasible basis of A x = b, x >= 0, or None when there is none.
+    """A feasible basis of A x = b, x >= 0, or None when its phase-1 optimum is positive.
 
     Rows are first flipped so that b >= 0.  Each row r that has a column
     equal to e_r (an unflipped inequality's slack) starts with the first
@@ -147,8 +145,8 @@ def _phase1(A: np.ndarray, b: np.ndarray, costs: Sequence[np.ndarray],
     T[art, basis[art]] = 1.0
     T[-1, :total] = -A[art].sum(axis=0)
     T[-1, -1] = -b[art].sum()
-    status = _run_simplex(T, basis, total + art.size, max_iter)
-    if status != OPTIMAL or T[-1, -1] < -1e-7:
+    _run_simplex(T, basis, total + art.size, max_iter)
+    if T[-1, -1] < -1e-7:
         return None
 
     # pivot remaining artificials out of the basis (or drop redundant rows)
@@ -177,9 +175,10 @@ def shadow_vertices(c1: Sequence[float], c2: Sequence[float],
     column's step lies in [0, pi]; one above 3 pi / 2 is a rounded-negative
     reduced cost and enters now.  Columns with |(r1, r2)| <= EPS, the basic
     ones among them, never enter, and equal steps go to the smallest column
-    index.  The feasible set must be bounded.  The two cost rows come from
-    phase 1 and ride through every pivot, so a basis's point is their
-    right-hand sides, -c1.x and -c2.x; x itself is never formed.
+    index.  The feasible set must be bounded: a ratio test that finds no
+    row raises NumericError.  The two cost rows come from phase 1 and ride
+    through every pivot, so a basis's point is their right-hand sides,
+    -c1.x and -c2.x; x itself is never formed.
     """
     c1 = np.asarray(c1, dtype=float)
     c2 = np.asarray(c2, dtype=float)
@@ -190,8 +189,7 @@ def shadow_vertices(c1: Sequence[float], c2: Sequence[float],
         return None
     T, basis = start
     m, total = basis.size, T.shape[1] - 1
-    if _run_simplex(T, basis, total, max_iter) != OPTIMAL:
-        raise NumericError("shadow-vertex sweep over an unbounded set")
+    _run_simplex(T, basis, total, max_iter)
     r2, r1 = T[m, :total], T[m + 1, :total]  # views that every pivot updates
     visited = [T[[m + 1, m], -1]]
     theta = 0.0
@@ -203,9 +201,6 @@ def shadow_vertices(c1: Sequence[float], c2: Sequence[float],
         theta += step[col]
         if not theta < 2 * math.pi:
             return visited
-        row = _leaving_row(T, basis, col, bland=False)
-        if row is None:
-            raise NumericError("shadow-vertex sweep over an unbounded set")
-        _pivot(T, basis, row, col)
+        _pivot(T, basis, _leaving_row(T, basis, col, bland=False), col)
         visited.append(T[[m + 1, m], -1])
     raise NumericError("shadow-vertex sweep iteration limit reached")

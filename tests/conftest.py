@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from impulse_reach import simplex
+from impulse_reach.errors import NumericError
 from impulse_reach.intervals import Cell, Interval, Partition, partition_from_cuts
 from impulse_reach.measures import FAMeasure, Side, SideAtom, indefinite
 from impulse_reach.piecewise import PiecewiseFn, step_function
@@ -135,6 +136,8 @@ def membership_samples(domain: Interval, *cells: Cell) -> list[Fraction]:
 
 # -- reference LP solver ------------------------------------------------------------
 
+OPTIMAL, INFEASIBLE, UNBOUNDED = "optimal", "infeasible", "unbounded"
+
 
 @dataclass
 class LPResult:
@@ -146,17 +149,23 @@ class LPResult:
 def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> LPResult:
     """min c.x over x >= 0, A_eq x = b_eq, A_ub x <= b_ub (at least one row)
     by one cold two-phase simplex on the sweep's own phase 1: the reference
-    for one support value of a set, one LP per direction."""
+    for one support value of a set, one LP per direction.  A ratio test
+    that finds no row after phase 1 means UNBOUNDED here; in phase 1 its
+    NumericError propagates."""
     c = np.asarray(c, dtype=float)
     n = c.size
     A, b = simplex._standard_form(n, A_eq, b_eq, A_ub, b_ub)
     max_iter = 200 * sum(A.shape)
     start = simplex._phase1(A, b, [c], max_iter)
     if start is None:
-        return LPResult(simplex.INFEASIBLE, None, np.inf)
+        return LPResult(INFEASIBLE, None, np.inf)
     T, basis = start
-    if simplex._run_simplex(T, basis, T.shape[1] - 1, max_iter) == simplex.UNBOUNDED:
-        return LPResult(simplex.UNBOUNDED, None, -np.inf)
+    try:
+        simplex._run_simplex(T, basis, T.shape[1] - 1, max_iter)
+    except NumericError as exc:
+        if "unbounded" not in str(exc):
+            raise
+        return LPResult(UNBOUNDED, None, -np.inf)
     x = np.zeros(T.shape[1] - 1)
     x[basis] = T[:basis.size, -1]
-    return LPResult(simplex.OPTIMAL, x[:n], float(c @ x[:n]))
+    return LPResult(OPTIMAL, x[:n], float(c @ x[:n]))

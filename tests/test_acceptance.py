@@ -211,8 +211,7 @@ def test_criterion_7_theorem_coincidence():
         sys, (_, s2) = build_double_integrator(c, 1, "1/2", 1)
         cons = ConstraintSpec((s2,), (((0, 0),),), frozenset({1}))
         report = coincidence_check(
-            sys, cons, [(64, 0.05), (128, 0.01), (256, 0.002)],
-            directions=360, t_grid_size=129)
+            sys, cons, [(64, 0.05), (128, 0.01), (256, 0.002)], t_grid_size=129)
         gaps = [max(e.d_full_universal, e.d_partial_universal)
                 for e in report.entries]
         assert all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))

@@ -36,13 +36,12 @@ from impulse_reach.dynamics import (
     position_kernel,
     velocity_kernel,
 )
-from impulse_reach.errors import DomainError, EmptySetError, PreconditionError
+from impulse_reach.errors import DomainError, EmptySetError
 from impulse_reach.intervals import Interval, eta, partition_from_cuts
 from impulse_reach.piecewise import LEFT, MAX_DEGREE, RIGHT, PiecewiseFn, integrate_eta
 from impulse_reach.rational import fmt_rat, num_from_json
-from impulse_reach.simplex import INFEASIBLE, OPTIMAL
 
-from conftest import solve_lp
+from conftest import INFEASIBLE, OPTIMAL, solve_lp
 
 F = Fraction
 UNIT = Interval.make(0, 1)
@@ -312,7 +311,7 @@ def test_reach_inactive_constraints_match_unconstrained():
 
 def test_reach_partial_forces_mass_off_prefix():
     sys, cons = velocity_constrained_sys()
-    ps = relaxed_reach(sys, cons, ReachConfig(256, 0.002, 64, frozenset({1})))
+    ps = relaxed_reach(sys, cons, ReachConfig(256, 0.002, 64, partial=True))
     limit = PlanarSet(segments=(((0.0, 1.0), (0.5, 1.0)),))
     assert hausdorff_distance(ps, limit) <= 0.01
 
@@ -334,15 +333,8 @@ def test_reach_monotone_in_epsilon():
 def test_reach_partial_inside_full():
     sys, cons = velocity_constrained_sys()
     full = relaxed_reach(sys, cons, ReachConfig(64, 0.01, 90))
-    partial = relaxed_reach(sys, cons, ReachConfig(64, 0.01, 90, frozenset({1})))
+    partial = relaxed_reach(sys, cons, ReachConfig(64, 0.01, 90, partial=True))
     assert directed_distance(partial, full) <= 1e-9
-
-
-def test_reach_partial_requires_step_kernels():
-    sys, (s1, _) = build_double_integrator(const_one(), "1/2", 1, 1)
-    cons = ConstraintSpec((s1,), (((0, 0),),), frozenset())
-    with pytest.raises(PreconditionError):
-        relaxed_reach(sys, cons, ReachConfig(8, 0.01, 16, frozenset({1})))
 
 
 # -- universal_mp ----------------------------------------------------------------
@@ -580,15 +572,14 @@ def test_coincidence_identical_for_empty_J():
     sys, (s1, s2) = build_double_integrator(const_one(), 1, "1/2", 1)
     cons = ConstraintSpec((s2,), (((0, 1),),), frozenset())
     full = relaxed_reach(sys, cons, ReachConfig(32, 0.01, 45))
-    partial = relaxed_reach(sys, cons,
-                            ReachConfig(32, 0.01, 45, frozenset()))
+    partial = relaxed_reach(sys, cons, ReachConfig(32, 0.01, 45, partial=True))
     assert full == partial
 
 
 def test_coincidence_all_step_J_is_exact_constraint():
     sys, cons = velocity_constrained_sys()
-    a = relaxed_reach(sys, cons, ReachConfig(64, 0.05, 45, frozenset({1})))
-    b = relaxed_reach(sys, cons, ReachConfig(64, 0.0001, 45, frozenset({1})))
+    a = relaxed_reach(sys, cons, ReachConfig(64, 0.05, 45, partial=True))
+    b = relaxed_reach(sys, cons, ReachConfig(64, 0.0001, 45, partial=True))
     assert a == b  # epsilon never touches the J coordinate
 
 
@@ -613,8 +604,7 @@ def test_universal_matches_relaxation_limit_on_box_target():
 
 def test_coincidence_report_converges():
     sys, cons = velocity_constrained_sys()
-    report = coincidence_check(sys, cons, [(64, 0.05), (128, 0.01)],
-                               directions=90, t_grid_size=65)
+    report = coincidence_check(sys, cons, [(64, 0.05), (128, 0.01)], t_grid_size=65)
     assert report.entries[0].partial_inside_full
     assert report.entries[1].partial_inside_full
     assert report.distances_decrease
@@ -630,7 +620,7 @@ def test_coincidence_flags_scale_with_the_sets(monkeypatch, scale):
     gaps = {4: 0.1, 8: 0.1 * (1 + 1e-4)}
 
     def reach(sys, cons, cfg):
-        shift = 1e-6 if cfg.partial_j is not None and cfg.mesh == 4 else 0.0
+        shift = 1e-6 if cfg.partial and cfg.mesh == 4 else 0.0
         return square(scale * shift, scale * (1 + gaps[cfg.mesh] + shift))
 
     monkeypatch.setattr(attainability, "relaxed_reach", reach)
@@ -772,15 +762,15 @@ def test_affine_kernels_sample_only_the_breakpoint_limits(name):
 @pytest.mark.parametrize("name", ["zigzag", "velocity_pin"])
 def test_sets_equal_projection_of_exact_reference_rows(name):
     sys, cons, task = load_scenario(SCENARIOS / f"{name}.json")
-    partial = cons.J if task.get("relaxation") == "partial" else None
-    cfg = ReachConfig(int(task["mesh"]), num_from_json(task["epsilon"]),
-                      int(task["directions"]), partial)
-    boxes = [relax_box(box, cfg.epsilon, cfg.partial_j) for box in cons.boxes]
-    expected = _project(reference_mesh_rows(sys, cons, cfg.mesh), boxes, cfg.directions)
+    partial = task.get("relaxation") == "partial"
+    cfg = ReachConfig(int(task["mesh"]), num_from_json(task["epsilon"]), partial=partial)
+    boxes = [relax_box(box, cfg.epsilon, cons.J if partial else frozenset())
+             for box in cons.boxes]
+    expected = _project(reference_mesh_rows(sys, cons, cfg.mesh), boxes)
     assert relaxed_reach(sys, cons, cfg).to_json() == expected.to_json()
     t_grid = int(task["t_grid"])
-    expected = _project(reference_curve_rows(sys, cons, t_grid), cons.boxes, cfg.directions)
-    assert universal_mp(sys, cons, t_grid, cfg.directions).to_json() == expected.to_json()
+    expected = _project(reference_curve_rows(sys, cons, t_grid), cons.boxes)
+    assert universal_mp(sys, cons, t_grid).to_json() == expected.to_json()
 
 
 # -- projection by the shadow-vertex sweep ------------------------------------------
@@ -867,7 +857,7 @@ def test_projection_is_the_exact_polygon_of_random_clouds(kind):
     rng = random.Random(f"cloud {kind}")
     for _ in range(12):
         gens, box = random_cloud(rng, kind)
-        ps = _project(gens, [box], 64)
+        ps = _project(gens, [box])
         lps = [support_lp(gens, box, d) for d in fan(64)]
         if lps[0] is None:
             assert ps.is_empty and all(lp is None for lp in lps)
@@ -893,7 +883,7 @@ def test_projection_supports_match_highs_on_random_clouds():
     for kind in CLOUD_KINDS:
         for _ in range(3):
             gens, box = random_cloud(rng, kind)
-            ps = _project(gens, [box], 64)
+            ps = _project(gens, [box])
             for d in dirs:
                 res = linprog(-(gens[:, :2] @ d), **box_lp(gens, box), method="highs")
                 if res.status == 2:
@@ -1022,7 +1012,7 @@ def assert_supports_match_lp_on_a_corner_visited_twice(monkeypatch, member):
     raw_corners = set(convex_hull_2d(visited))
     assert any(p in raw_corners or q in raw_corners for p, q in twins)
     rows = _mesh_generators(sys, cons, cfg.mesh)[1]
-    box = relax_box(cons.boxes[0], cfg.epsilon, None)
+    box = relax_box(cons.boxes[0], cfg.epsilon, frozenset())
     for d in fan(64):
         value, _ = support_lp(rows, box, d)
         assert abs(np.max(corners @ d) - value) <= 1e-9 * max(1.0, abs(value))
@@ -1074,8 +1064,8 @@ def test_pruned_rows_leave_reach_sets_unchanged(mesh):
             assert np.allclose(rows[k], middle, rtol=0, atol=1e-12), (trial, k)
         dropped += int((~kept).sum())
         cfg = ReachConfig(mesh, F(1, 100), 16)
-        boxes = [relax_box(box, cfg.epsilon, None) for box in cons.boxes]
-        assert_same_set(relaxed_reach(sys, cons, cfg), _project(rows, boxes, cfg.directions))
+        boxes = [relax_box(box, cfg.epsilon, frozenset()) for box in cons.boxes]
+        assert_same_set(relaxed_reach(sys, cons, cfg), _project(rows, boxes))
     assert dropped > 0 or mesh == 3
 
 
@@ -1093,5 +1083,5 @@ def test_pruned_rows_leave_mp_sets_unchanged(t_grid_size):
             assert np.max(np.abs(rows[k] - (a + s * d))) <= 1e-12, (trial, k)
         dropped += int((~kept).sum())
         assert_same_set(universal_mp(sys, cons, t_grid_size, 16),
-                        _project(rows, cons.boxes, 16))
+                        _project(rows, cons.boxes))
     assert dropped > 0 or t_grid_size == 2

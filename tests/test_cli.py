@@ -13,6 +13,7 @@ ZIGZAG_C = {"breakpoints": ["0", "1/2", "1"], "pieces": [[1], [-1]],
             "point_values": [1, -1, -1]}
 CONST_C = {"breakpoints": ["0", "1"], "pieces": [[1]], "point_values": [1, 1]}
 VELOCITY_PIN = Path(__file__).resolve().parents[1] / "scenarios" / "velocity_pin.json"
+ZIGZAG = VELOCITY_PIN.with_name("zigzag.json")
 
 
 def write_scenario(tmp_path, name="scenario.json", **extra):
@@ -83,10 +84,12 @@ def test_unparsable_epsilon_exits_2(tmp_path):
         assert main(["reach", "--scenario", str(path), "--epsilon", epsilon]) == 2
 
 
-@pytest.mark.parametrize("literal", ['"1/0"', "1e999"], ids=["1/0", "1e999"])
+@pytest.mark.parametrize("literal", ['"1/0"', "1e999", '"1e999"', "1" + "0" * 400],
+                         ids=["1/0", "1e999", "string 1e999", "integer 10^400"])
 @pytest.mark.parametrize("where", ["b", "box bound", "coefficient", "task epsilon"])
 def test_a_zero_denominator_or_an_infinite_number_exits_2(tmp_path, capsys, where, literal):
-    # JSON reads 1e999 as an infinite float
+    # JSON reads 1e999 as an infinite float; the string "1e999" and the JSON
+    # integer 10^400 read exactly, beyond the largest finite float
     raw = json.loads(VELOCITY_PIN.read_text())
     if where == "b":
         raw["b"] = "BAD"
@@ -98,9 +101,9 @@ def test_a_zero_denominator_or_an_infinite_number_exits_2(tmp_path, capsys, wher
         raw["task"]["epsilon"] = "BAD"
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw).replace('"BAD"', literal))
-    for command in ("reach", "check"):
-        assert main([command, "--scenario", str(path)]) == 2
-    assert capsys.readouterr().err.count("validation error") == 2
+    for command in ("reach", "mp", "check"):
+        assert main([command, "--scenario", str(path)]) == 2, command
+    assert capsys.readouterr().err.count("validation error") == 3
 
 
 def test_reach_mesh_override(tmp_path):
@@ -351,6 +354,16 @@ def test_fewer_than_three_directions_exits_2(tmp_path, command, directions):
     assert main([command, "--scenario", str(path), "--directions", directions,
                  "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario", [ZIGZAG, VELOCITY_PIN], ids=["zigzag", "velocity_pin"])
+def test_check_ignores_directions(tmp_path, scenario):
+    # no set depends on directions, and check prints no set
+    outs = [tmp_path / "default.json", tmp_path / "two.json"]
+    assert main(["check", "--scenario", str(scenario), "--out", str(outs[0])]) == 0
+    assert main(["check", "--scenario", str(scenario), "--directions", "2",
+                 "--out", str(outs[1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_builders_require_thrust_orientation(tmp_path):

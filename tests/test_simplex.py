@@ -14,9 +14,9 @@ from impulse_reach.dynamics import (
 )
 from impulse_reach.errors import NumericError
 from impulse_reach.piecewise import PiecewiseFn
-from impulse_reach.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, shadow_vertices
+from impulse_reach.simplex import shadow_vertices
 
-from conftest import solve_lp
+from conftest import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 
 def brute_force_min(c, A_eq, b_eq, A_ub, b_ub):
@@ -153,7 +153,7 @@ def test_bland_rule_takes_over_and_still_reaches_the_optimum(monkeypatch):
     c, A_ub, b_ub = BOX_LP
     T, basis = slack_tableau(c, A_ub, b_ub)
     # max_iter 5 hands over to Bland's rule after two Dantzig pivots
-    assert simplex._run_simplex(T, basis, T.shape[1] - 1, 5) == OPTIMAL
+    simplex._run_simplex(T, basis, T.shape[1] - 1, 5)
     assert rules == [False, False, True]
     assert -T[-1, -1] == pytest.approx(brute_force_min(c, None, None, A_ub, b_ub))
 
@@ -216,6 +216,16 @@ def test_sweep_raises_on_an_unbounded_set():
         shadow_vertices([1.0, 1.0], [-1.0, -1.0], ray, [0.0])
     with pytest.raises(NumericError, match="unbounded"):
         shadow_vertices([-1.0, -1.0], [1.0, 1.0], ray, [0.0])
+
+
+def test_a_ratio_test_that_finds_no_row_in_phase_1_raises():
+    # x0 = 1/d, x1 = x2 in [0, 1/2] is feasible and bounded, but column 0's
+    # entries lie below EPS, so phase 1's ratio test finds no row for it:
+    # that is rounding, not an infeasible LP
+    d = 0.9e-9
+    with pytest.raises(NumericError, match="unbounded"):
+        shadow_vertices([1, 0, 0], [0, 1, 0], [[d, 2, -2], [d, -2, 2]], [1, 1],
+                        [[0, 1, 1]], [1])
 
 
 # -- phase 1 from the slack basis ------------------------------------------------
@@ -400,7 +410,8 @@ def test_pivot_matches_row_by_row_elimination():
 
 
 def test_ratio_test_matches_the_per_row_code():
-    # small integer entries make equal ratios and equal pivots common
+    # small integer entries make equal ratios and equal pivots common; where
+    # the per-row code finds no row, the ratio test raises
     rng = np.random.default_rng(23)
     for _ in range(300):
         m = int(rng.integers(1, 12))
@@ -409,8 +420,12 @@ def test_ratio_test_matches_the_per_row_code():
         basis = rng.permutation(20)[:m]
         for col in range(6):
             for bland in (False, True):
-                assert (simplex._leaving_row(T, basis, col, bland)
-                        == reference_leaving_row(T, basis, col, bland))
+                want = reference_leaving_row(T, basis, col, bland)
+                if want is None:
+                    with pytest.raises(NumericError, match="unbounded"):
+                        simplex._leaving_row(T, basis, col, bland)
+                else:
+                    assert simplex._leaving_row(T, basis, col, bland) == want
 
 
 def family_sweeps():
