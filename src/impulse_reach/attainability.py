@@ -182,12 +182,10 @@ def convex_hull_2d(points: Sequence[Sequence[float]]) -> list[tuple[float, float
 def hull_piece(points: Sequence[Sequence[float]]) -> PlanarSet:
     """Canonical PlanarSet piece for a finite planar point cloud: its convex hull.
 
-    The hull is taken on the raw floats, its vertices are rounded to the
-    printed digits, and the rounded vertices are hulled again, so a point on
-    an edge never turns into a vertex by rounding.
+    The vertices keep their computed floats; they are rounded to the printed
+    digits only where a set is written (to_json, the SVG figure).
     """
     hull = convex_hull_2d(points)
-    hull = convex_hull_2d([tuple(num_to_json(c) for c in p) for p in hull])
     if len(hull) >= 3:
         return PlanarSet(polygons=(tuple(hull),))
     if len(hull) == 2:
@@ -480,15 +478,23 @@ def universal_mp(sys: ImpulseSystem, cons: ConstraintSpec,
     give the hull exactly; the t_grid_size grid samples are kept only inside
     pieces of degree >= 2, where they give an inner hull.  Each target box
     slices the hull in the constraint coordinates, and one shadow-vertex sweep
-    per box projects it to the terminal coordinates.  directions is only
-    validated: no set depends on it.
+    per box projects it to the terminal coordinates.  Whether a slice is empty
+    depends only on the constraint coordinates, which the breakpoint limits
+    span exactly on affine constraint pieces.  On a constraint piece of degree
+    >= 2 the target may hold only times off the grid, so an empty set there
+    raises NumericError.  directions is only validated: no set depends on it.
     """
     _check_input(sys, cons)
     if t_grid_size < 2:
         raise DomainError("t_grid_size must be at least 2")
     if directions < 3:
         raise DomainError("need at least 3 fan directions")
-    return _project(_augmented_curve_samples(sys, cons, t_grid_size)[1], cons.boxes)
+    result = _project(_augmented_curve_samples(sys, cons, t_grid_size)[1], cons.boxes)
+    if result.is_empty and any(len(cs) > 2 for k in cons.s for cs in k.pieces):
+        raise NumericError("the target slices no sampled point of a constraint kernel "
+                           "of degree >= 2, and the sampled hull cannot decide "
+                           "feasibility there")
+    return result
 
 
 def short_impulse_mp(sys: ImpulseSystem) -> PlanarSet:

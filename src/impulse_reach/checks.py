@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .dynamics import ConstraintSpec, ImpulseSystem, gen_moments, moments
 from .intervals import (
@@ -93,7 +93,7 @@ def _rand_measure(rng: random.Random, dom: Interval, nonneg: bool) -> FAMeasure:
     return FAMeasure(_rand_step(rng, dom, nonneg), FAMeasure.sort_atoms(atoms))
 
 
-def _split_cell(rng: random.Random, cell: Cell, dom: Interval) -> list[Cell]:
+def _split_cell(rng: random.Random, cell: Cell) -> list[Cell]:
     parts = []
     for part in cell.parts:
         if part.lo == part.hi:
@@ -110,81 +110,88 @@ def _split_cell(rng: random.Random, cell: Cell, dom: Interval) -> list[Cell]:
     return [Cell.from_intervals(b) for b in buckets if b]
 
 
+# Each law draws its inputs from rng and says whether the invariant holds on
+# them, or None for a draw it cannot test.
+
+
+def _refinement_direction(rng: random.Random, dom: Interval, sys: ImpulseSystem,
+                          cons: ConstraintSpec) -> Optional[bool]:
+    a = partition_from_cuts(dom, _rand_cuts(rng, dom, 4))
+    b = partition_from_cuts(dom, _rand_cuts(rng, dom, 4))
+    r = common_refinement(a, b)
+    return is_finer(r, a) and is_finer(r, b)
+
+
+def _finite_additivity(rng: random.Random, dom: Interval, sys: ImpulseSystem,
+                       cons: ConstraintSpec) -> Optional[bool]:
+    mu = _rand_measure(rng, dom, nonneg=False)
+    cell = rng.choice(partition_from_cuts(dom, _rand_cuts(rng, dom, 3)).cells)
+    subs = _split_cell(rng, cell)
+    return sum((eval_cell(mu, s) for s in subs), Fraction(0)) == eval_cell(mu, cell)
+
+
+def _integral_bound(rng: random.Random, dom: Interval, sys: ImpulseSystem,
+                    cons: ConstraintSpec) -> Optional[bool]:
+    mu = _rand_measure(rng, dom, nonneg=False)
+    u = _rand_step(rng, dom, nonneg=False)
+    return abs(integral(u, mu)) <= sup_norm(u) * variation(mu)
+
+
+def _factorization(rng: random.Random, dom: Interval, sys: ImpulseSystem,
+                   cons: ConstraintSpec) -> Optional[bool]:
+    """None for a massless draw, which no mass-b control rescales."""
+    f = _rand_step(rng, dom, nonneg=True)
+    total = integrate_eta(f, Cell((dom,)))
+    if total == 0:
+        return None
+    b = sys.b if isinstance(sys.b, float) else Fraction(sys.b)
+    f = scale(b / total, f)
+    return gen_moments(indefinite(f), sys, cons) == moments(f, sys, cons)
+
+
+def _averaging_exactness(rng: random.Random, dom: Interval, sys: ImpulseSystem,
+                         cons: ConstraintSpec) -> Optional[bool]:
+    mu = _rand_measure(rng, dom, nonneg=True)
+    h = _rand_step(rng, dom, nonneg=False)
+    cuts = set(h.breakpoints[1:-1]) | {a.loc for a in mu.atoms}
+    partition = partition_from_cuts(dom, cuts | set(_rand_cuts(rng, dom, 2)))
+    return integrate_product(h, averaging(mu, partition), Cell((dom,))) == integral(h, mu)
+
+
+def _null_set_vanishing(rng: random.Random, dom: Interval, sys: ImpulseSystem,
+                        cons: ConstraintSpec) -> Optional[bool]:
+    mu = _rand_measure(rng, dom, nonneg=False)
+    pts = _lattice_points(dom, sorted({_rand_index(rng) for _ in range(3)}))
+    return eval_cell(mu, Cell.from_intervals([Interval(t, t) for t in pts])) == 0
+
+
+# (row name, law, draws, unit of the tested draws), in the order of the rows
+LAWS = (
+    ("refinement-direction", _refinement_direction, 50, "partition pairs"),
+    ("finite-additivity", _finite_additivity, 100, "measure/cell splits"),
+    ("integral-bound", _integral_bound, 50, "(u, mu) pairs"),
+    ("factorization", _factorization, 25, "step controls"),
+    ("averaging-exactness", _averaging_exactness, 25, "(mu, h) pairs"),
+    ("null-set-vanishing", _null_set_vanishing, 50, "null cells"),
+)
+
+
 def run_battery(sys: ImpulseSystem, cons: ConstraintSpec,
                 seed: int = 0) -> list[CheckRow]:
+    """One row per law: it passes when every tested draw holds, and stops at
+    the first that fails."""
     rng = random.Random(seed)
     dom = sys.domain
     rows: list[CheckRow] = []
-
-    ok, tried = True, 0
-    for _ in range(50):
-        a = partition_from_cuts(dom, _rand_cuts(rng, dom, 4))
-        b = partition_from_cuts(dom, _rand_cuts(rng, dom, 4))
-        r = common_refinement(a, b)
-        tried += 1
-        if not (is_finer(r, a) and is_finer(r, b)):
-            ok = False
-            break
-    rows.append(("refinement-direction", ok, f"{tried} partition pairs"))
-
-    ok, tried = True, 0
-    for _ in range(100):
-        mu = _rand_measure(rng, dom, nonneg=False)
-        cell_parts = partition_from_cuts(dom, _rand_cuts(rng, dom, 3)).cells
-        cell = rng.choice(cell_parts)
-        subs = _split_cell(rng, cell, dom)
-        tried += 1
-        if sum((eval_cell(mu, s) for s in subs), Fraction(0)) != eval_cell(mu, cell):
-            ok = False
-            break
-    rows.append(("finite-additivity", ok, f"{tried} measure/cell splits"))
-
-    ok, tried = True, 0
-    for _ in range(50):
-        mu = _rand_measure(rng, dom, nonneg=False)
-        u = _rand_step(rng, dom, nonneg=False)
-        tried += 1
-        if abs(integral(u, mu)) > sup_norm(u) * variation(mu):
-            ok = False
-            break
-    rows.append(("integral-bound", ok, f"{tried} (u, mu) pairs"))
-
-    ok, tried = True, 0
-    for _ in range(25):
-        f = _rand_step(rng, dom, nonneg=True)
-        total = integrate_eta(f, Cell((dom,)))
-        if total == 0:
-            continue
-        b = sys.b if isinstance(sys.b, float) else Fraction(sys.b)
-        f = scale(b / total, f)
-        tried += 1
-        if gen_moments(indefinite(f), sys, cons) != moments(f, sys, cons):
-            ok = False
-            break
-    rows.append(("factorization", ok, f"{tried} step controls"))
-
-    ok, tried = True, 0
-    for _ in range(25):
-        mu = _rand_measure(rng, dom, nonneg=True)
-        h = _rand_step(rng, dom, nonneg=False)
-        cuts = set(h.breakpoints[1:-1]) | {a.loc for a in mu.atoms}
-        partition = partition_from_cuts(dom, cuts | set(_rand_cuts(rng, dom, 2)))
-        theta = averaging(mu, partition)
-        tried += 1
-        if integrate_product(h, theta, Cell((dom,))) != integral(h, mu):
-            ok = False
-            break
-    rows.append(("averaging-exactness", ok, f"{tried} (mu, h) pairs"))
-
-    ok, tried = True, 0
-    for _ in range(50):
-        mu = _rand_measure(rng, dom, nonneg=False)
-        pts = _lattice_points(dom, sorted({_rand_index(rng) for _ in range(3)}))
-        null = Cell.from_intervals([Interval(t, t) for t in pts])
-        tried += 1
-        if eval_cell(mu, null) != 0:
-            ok = False
-            break
-    rows.append(("null-set-vanishing", ok, f"{tried} null cells"))
-
+    for name, law, draws, unit in LAWS:
+        ok, tried = True, 0
+        for _ in range(draws):
+            holds = law(rng, dom, sys, cons)
+            if holds is None:
+                continue
+            tried += 1
+            if not holds:
+                ok = False
+                break
+        rows.append((name, ok, f"{tried} {unit}"))
     return rows

@@ -85,8 +85,6 @@ def _parse_scenario(raw: dict) -> tuple[ImpulseSystem, ConstraintSpec, dict]:
         c = PiecewiseFn.from_json(raw["c"])
         if c.domain != domain:
             raise SchemaError("thrust orientation domain differs from 'domain'")
-        if domain != Interval(Fraction(0), Fraction(1)):
-            raise SchemaError("the built-in double integrator needs domain [0,1]")
         system, _ = build_double_integrator(c, 1, 1, b)
     else:
         kernels = tuple(PiecewiseFn.from_json(k) for k in raw["pi"])
@@ -209,34 +207,16 @@ def render_svg(planar: PlanarSet, out_path: str | Path, width: int = 640,
                height: int = 480) -> None:
     """Deterministic SVG figure: filled polygons, polyline segments/arcs,
     circle markers, auto-fitted axes with a 5% margin."""
-    xs: list[float] = []
-    ys: list[float] = []
-
-    def note(p: Sequence[Number]) -> None:
-        xs.append(float(p[0]))
-        ys.append(float(p[1]))
-
-    for p in planar.points:
-        note(p)
-    for a, b in planar.segments:
-        note(a)
-        note(b)
-    arc_paths: list[list[tuple[float, float]]] = []
+    arc_paths = []
     for arc in planar.arcs:
         lo, hi = float(arc.t_lo), float(arc.t_hi)
-        pts = []
-        for k in range(ARC_SAMPLES + 1):
-            t = lo + (hi - lo) * k / ARC_SAMPLES
-            q = arc.at(t)
-            pts.append((float(q[0]), float(q[1])))
-            note(q)
-        arc_paths.append(pts)
-    for poly in planar.polygons:
-        for p in poly:
-            note(p)
-
-    if not xs:
-        xs, ys = [0.0, 1.0], [0.0, 1.0]
+        arc_paths.append([tuple(map(float, arc.at(lo + (hi - lo) * k / ARC_SAMPLES)))
+                          for k in range(ARC_SAMPLES + 1)])
+    drawn = [*planar.points, *(p for seg in planar.segments for p in seg),
+             *(p for pts in arc_paths for p in pts),
+             *(p for poly in planar.polygons for p in poly)]
+    xs = [float(p[0]) for p in drawn] or [0.0, 1.0]
+    ys = [float(p[1]) for p in drawn] or [0.0, 1.0]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     if x1 == x0:

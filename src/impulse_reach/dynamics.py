@@ -117,8 +117,6 @@ def velocity_kernel(c: PiecewiseFn, t2: Number | str) -> PiecewiseFn:
 
 
 def _prefix_indicator(dom: Interval, t: Fraction) -> PiecewiseFn:
-    if t == dom.lo:
-        return indicator(Cell((Interval(dom.lo, dom.lo),)), dom)
     return indicator(Cell((Interval(dom.lo, t),)), dom)
 
 

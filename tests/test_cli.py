@@ -286,6 +286,32 @@ def test_reach_rejects_a_non_integer_J_index(tmp_path, capsys, J):
     assert "constraint J" in capsys.readouterr().err and not out.exists()
 
 
+CURVED_S = {"breakpoints": ["0", "1"], "pieces": [["1/9", "-2/3", 1]],
+            "point_values": ["1/9", "4/9"]}
+
+
+@pytest.mark.parametrize("t_grid", [129, 1025])
+def test_mp_with_no_sampled_time_on_a_curved_constraint_exits_3(tmp_path, capsys, t_grid):
+    # s(t) = (t - 1/3)^2 with target 0 holds only at t = 1/3, off every grid:
+    # the target is feasible, but no sample meets it
+    path = write_scenario(tmp_path, c=ZIGZAG_C,
+                          constraints={"s": [CURVED_S], "Y": [[["0", "0"]]]})
+    out = tmp_path / "mp.json"
+    assert main(["mp", "--scenario", str(path), "--t-grid", str(t_grid),
+                 "--out", str(out)]) == 3
+    assert "cannot decide feasibility" in capsys.readouterr().err and not out.exists()
+
+
+@pytest.mark.parametrize("c_end", ["1", "2"])
+def test_thrust_orientation_scenario_off_the_unit_interval_exits_2(tmp_path, capsys, c_end):
+    # the double integrator lives on [0,1]: a thrust on [0,2] is refused by
+    # its builder, and a thrust on [0,1] by the scenario's domain [0,2]
+    c = {"breakpoints": ["0", c_end], "pieces": [[1]], "point_values": [1, 1]}
+    path = write_scenario(tmp_path, c=c, domain={"t0": "0", "theta0": "2"})
+    assert main(["reach", "--scenario", str(path)]) == 2
+    assert "validation error" in capsys.readouterr().err
+
+
 def test_infeasible_reach_reports_feasible_false(tmp_path):
     path = write_scenario(
         tmp_path, c=CONST_C,

@@ -430,11 +430,14 @@ def test_ratio_test_matches_the_per_row_code():
 
 def family_sweeps():
     """The arguments of every sweep that relaxed_reach and universal_mp run
-    on bench family members, under constant and under affine thrust."""
+    on bench family members, under constant and under affine thrust.  The
+    stand-in sweep visits the origin, so no set is empty: universal_mp raises
+    on an empty set under curved constraint kernels."""
     lps = []
     rng = random.Random("family sweeps")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(attainability, "shadow_vertices", lambda *lp: lps.append(lp))
+        mp.setattr(attainability, "shadow_vertices",
+                   lambda *lp: lps.append(lp) or [np.zeros(2)])
         for thrust in ([[1], [-1]], [[1, -1], [-1, 1]]):
             for _ in range(8):
                 c = PiecewiseFn.build([0, F(rng.randint(100, 900), 1000), 1], thrust)
