@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -62,16 +63,10 @@ class Arc:
         if self.t_lo >= self.t_hi:
             raise DomainError("arc parameter interval must have positive length")
 
-    @property
-    def dim(self) -> int:
-        return len(self.coeffs)
-
     def at(self, t: Number) -> Vec:
         return tuple(poly_eval(cs, t) for cs in self.coeffs)
 
     def to_json(self) -> dict:
-        if self.dim != 2:
-            raise DomainError("arc JSON form is two-dimensional")
         return {"param": [fmt_rat(self.t_lo), fmt_rat(self.t_hi)],
                 "coeffs_x": [num_to_json(c) for c in self.coeffs[0]],
                 "coeffs_y": [num_to_json(c) for c in self.coeffs[1]]}
@@ -275,14 +270,15 @@ def relax_box(box: Sequence[tuple[Optional[Number], Optional[Number]]],
 
 
 def _project(gens: np.ndarray,
-             boxes: Sequence[Sequence[tuple[Optional[Number], Optional[Number]]]]) -> PlanarSet:
-    """Terminal-plane image of the hull of the generator rows, sliced by each box.
+             boxes: Sequence[Sequence[tuple[Optional[Number], Optional[Number]]]]
+             ) -> list[PlanarSet]:
+    """Terminal-plane image of the hull of the generator rows, sliced by each
+    box: one piece per box, empty for an infeasible box.
 
     gens holds one row per generator: the two terminal coordinates, then the
     constraint coordinates.  For each box the weights x >= 0 with sum x = 1
     are bounded by the box on gens' constraint part, and one shadow-vertex
     sweep of the two terminal costs visits every vertex of that box's piece.
-    An infeasible box contributes nothing.
 
     Each coordinate is first scaled by the power of two 2^-e that brings its
     largest magnitude into [1/2, 1), its box bounds with it, and the visited
@@ -293,7 +289,7 @@ def _project(gens: np.ndarray,
     """
     exponents = np.frexp(np.abs(gens).max(axis=0))[1]
     gens = np.ldexp(gens, -exponents)
-    result = PlanarSet()
+    pieces = []
     for box in boxes:
         eq_rows, eq_rhs = [np.ones(gens.shape[0])], [1.0]
         ub_rows: list[np.ndarray] = []
@@ -314,9 +310,9 @@ def _project(gens: np.ndarray,
         A_ub = np.vstack(ub_rows) if ub_rows else None
         visited = shadow_vertices(-gens[:, 0], -gens[:, 1], np.vstack(eq_rows), eq_rhs,
                                   A_ub, ub_rhs)
-        if visited is not None:
-            result = result.merge(hull_piece([np.ldexp(p, exponents[:2]) for p in visited]))
-    return result
+        pieces.append(PlanarSet() if visited is None else
+                      hull_piece([np.ldexp(p, exponents[:2]) for p in visited]))
+    return pieces
 
 
 # The 3-node Gauss-Legendre rule on [-1, 1] integrates every polynomial of
@@ -434,7 +430,7 @@ def relaxed_reach(sys: ImpulseSystem, cons: ConstraintSpec,
     _check_input(sys, cons)
     exact = cons.J if cfg.partial else frozenset()
     boxes = [relax_box(box, cfg.epsilon, exact) for box in cons.boxes]
-    return _project(_mesh_generators(sys, cons, cfg.mesh)[1], boxes)
+    return reduce(PlanarSet.merge, _project(_mesh_generators(sys, cons, cfg.mesh)[1], boxes))
 
 
 def _augmented_curve_samples(sys: ImpulseSystem, cons: ConstraintSpec,
@@ -481,20 +477,22 @@ def universal_mp(sys: ImpulseSystem, cons: ConstraintSpec,
     per box projects it to the terminal coordinates.  Whether a slice is empty
     depends only on the constraint coordinates, which the breakpoint limits
     span exactly on affine constraint pieces.  On a constraint piece of degree
-    >= 2 the target may hold only times off the grid, so an empty set there
-    raises NumericError.  directions is only validated: no set depends on it.
+    >= 2 a box may hold only times off the grid, so a box with an empty slice
+    there raises NumericError, even when another box keeps the set nonempty.
+    directions is only validated: no set depends on it.
     """
     _check_input(sys, cons)
     if t_grid_size < 2:
         raise DomainError("t_grid_size must be at least 2")
     if directions < 3:
         raise DomainError("need at least 3 fan directions")
-    result = _project(_augmented_curve_samples(sys, cons, t_grid_size)[1], cons.boxes)
-    if result.is_empty and any(len(cs) > 2 for k in cons.s for cs in k.pieces):
-        raise NumericError("the target slices no sampled point of a constraint kernel "
+    pieces = _project(_augmented_curve_samples(sys, cons, t_grid_size)[1], cons.boxes)
+    if (any(piece.is_empty for piece in pieces)
+            and any(len(cs) > 2 for k in cons.s for cs in k.pieces)):
+        raise NumericError("a target box slices no sampled point of a constraint kernel "
                            "of degree >= 2, and the sampled hull cannot decide "
                            "feasibility there")
-    return result
+    return reduce(PlanarSet.merge, pieces)
 
 
 def short_impulse_mp(sys: ImpulseSystem) -> PlanarSet:
@@ -533,48 +531,19 @@ def short_impulse_mp(sys: ImpulseSystem) -> PlanarSet:
 # -- coincidence report ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoincidenceEntry:
-    mesh: int
-    epsilon: float
-    d_full_partial: float
-    d_full_universal: float
-    d_partial_universal: float
-    partial_inside_full: bool
-
-    def to_json(self) -> dict:
-        return {
-            "mesh": self.mesh,
-            "epsilon": num_to_json(float(self.epsilon)),
-            "d_full_partial": num_to_json(self.d_full_partial),
-            "d_full_universal": num_to_json(self.d_full_universal),
-            "d_partial_universal": num_to_json(self.d_partial_universal),
-            "partial_inside_full": self.partial_inside_full,
-        }
-
-
-@dataclass(frozen=True)
-class CoincidenceReport:
-    entries: tuple[CoincidenceEntry, ...]
-    distances_decrease: bool
-    final_d_full_partial: float
-    final_d_to_universal: float
-
-    def to_json(self) -> dict:
-        return {
-            "entries": [e.to_json() for e in self.entries],
-            "distances_decrease": self.distances_decrease,
-            "final_d_full_partial": num_to_json(self.final_d_full_partial),
-            "final_d_to_universal": num_to_json(self.final_d_to_universal),
-        }
-
-
 def coincidence_check(sys: ImpulseSystem, cons: ConstraintSpec,
                       schedule: Sequence[tuple[int, Number]],
-                      t_grid_size: int = 129) -> CoincidenceReport:
+                      t_grid_size: int = 129) -> dict:
     """Compare the fully-relaxed and partially-relaxed reach sets along a
     mesh/epsilon schedule against the generalized attraction set; the partial
-    sets keep the coordinates cons.J exact."""
+    sets keep the coordinates cons.J exact.
+
+    The report is plain data: per schedule entry its mesh, epsilon, the three
+    Hausdorff distances and whether the partial set lies in the full one, then
+    whether the distances to the attraction set decrease and the last ones.
+    Floats are as computed, and both flags are decided on them; output rounds
+    them where it is written.
+    """
     if not schedule:
         raise DomainError("coincidence check needs a nonempty schedule")
     universal = universal_mp(sys, cons, t_grid_size)
@@ -585,19 +554,18 @@ def coincidence_check(sys: ImpulseSystem, cons: ConstraintSpec,
         if full.is_empty or partial.is_empty or universal.is_empty:
             raise NumericError("coincidence check needs nonempty reach sets")
         extent = max(abs(c) for piece in _pieces(full) for p in piece for c in p)
-        entries.append(CoincidenceEntry(
-            mesh=mesh,
-            epsilon=float(epsilon),
-            d_full_partial=hausdorff_distance(full, partial),
-            d_full_universal=hausdorff_distance(full, universal),
-            d_partial_universal=hausdorff_distance(partial, universal),
-            partial_inside_full=directed_distance(partial, full) <= 1e-9 * extent,
-        ))
-    gaps = [max(e.d_full_universal, e.d_partial_universal) for e in entries]
-    decreasing = all(a >= b - 1e-12 * max(a, b) for a, b in zip(gaps, gaps[1:]))
-    return CoincidenceReport(
-        entries=tuple(entries),
-        distances_decrease=decreasing,
-        final_d_full_partial=entries[-1].d_full_partial,
-        final_d_to_universal=gaps[-1],
-    )
+        entries.append({
+            "mesh": mesh,
+            "epsilon": float(epsilon),
+            "d_full_partial": hausdorff_distance(full, partial),
+            "d_full_universal": hausdorff_distance(full, universal),
+            "d_partial_universal": hausdorff_distance(partial, universal),
+            "partial_inside_full": directed_distance(partial, full) <= 1e-9 * extent,
+        })
+    gaps = [max(e["d_full_universal"], e["d_partial_universal"]) for e in entries]
+    return {
+        "entries": entries,
+        "distances_decrease": all(a >= b - 1e-12 * max(a, b) for a, b in zip(gaps, gaps[1:])),
+        "final_d_full_partial": entries[-1]["d_full_partial"],
+        "final_d_to_universal": gaps[-1],
+    }

@@ -144,8 +144,7 @@ def _factorization(rng: random.Random, dom: Interval, sys: ImpulseSystem,
     total = integrate_eta(f, Cell((dom,)))
     if total == 0:
         return None
-    b = sys.b if isinstance(sys.b, float) else Fraction(sys.b)
-    f = scale(b / total, f)
+    f = scale(sys.b / total, f)
     return gen_moments(indefinite(f), sys, cons) == moments(f, sys, cons)
 
 

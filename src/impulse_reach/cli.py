@@ -39,7 +39,7 @@ from .errors import NumericError, SchemaError
 from .intervals import Interval
 from .measures import FAMeasure
 from .piecewise import PiecewiseFn
-from .rational import Number, fmt_float, fmt_rat, num_from_json, rat
+from .rational import Number, fmt_float, fmt_rat, num_from_json, num_to_json, rat
 
 DEFAULT_TASK = {"mesh": 64, "epsilon": 0.01, "directions": 360, "t_grid": 129,
                 "samples": 11, "relaxation": "full", "schedule": None, "seed": 0}
@@ -179,8 +179,20 @@ def _parse_constraints(obj: dict, system: ImpulseSystem,
 # -- output ------------------------------------------------------------------------
 
 
+def _rounded(obj):
+    """obj with every float rounded to the printed digits by num_to_json."""
+    if isinstance(obj, float):
+        return num_to_json(obj)
+    if isinstance(obj, dict):
+        return {key: _rounded(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_rounded(value) for value in obj]
+    return obj
+
+
 def dump_json(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The JSON text of obj; the one place where CLI output rounds its floats."""
+    return json.dumps(_rounded(obj), indent=2, sort_keys=True) + "\n"
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -201,10 +213,10 @@ def _fmt_num(value: Number) -> str:
 # -- SVG rendering -------------------------------------------------------------------
 
 ARC_SAMPLES = 64
+WIDTH, HEIGHT = 640, 480
 
 
-def render_svg(planar: PlanarSet, out_path: str | Path, width: int = 640,
-               height: int = 480) -> None:
+def render_svg(planar: PlanarSet, out_path: str | Path) -> None:
     """Deterministic SVG figure: filled polygons, polyline segments/arcs,
     circle markers, auto-fitted axes with a 5% margin."""
     arc_paths = []
@@ -225,8 +237,8 @@ def render_svg(planar: PlanarSet, out_path: str | Path, width: int = 640,
         y0, y1 = y0 - 0.5, y1 + 0.5
     mx, my = 0.05 * (x1 - x0), 0.05 * (y1 - y0)
     x0, x1, y0, y1 = x0 - mx, x1 + mx, y0 - my, y1 + my
-    sx = width / (x1 - x0)
-    sy = height / (y1 - y0)
+    sx = WIDTH / (x1 - x0)
+    sy = HEIGHT / (y1 - y0)
 
     def tx(x: float) -> str:
         return fmt_float((x - x0) * sx)
@@ -235,28 +247,23 @@ def render_svg(planar: PlanarSet, out_path: str | Path, width: int = 640,
         return fmt_float((y1 - y) * sy)
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white" '
         'stroke="black" stroke-width="1"/>',
     ]
     if x0 < 0 < x1:
-        lines.append(f'<line x1="{tx(0.0)}" y1="0" x2="{tx(0.0)}" y2="{height}" '
+        lines.append(f'<line x1="{tx(0.0)}" y1="0" x2="{tx(0.0)}" y2="{HEIGHT}" '
                      'stroke="#bbbbbb" stroke-width="1"/>')
     if y0 < 0 < y1:
-        lines.append(f'<line x1="0" y1="{ty(0.0)}" x2="{width}" y2="{ty(0.0)}" '
+        lines.append(f'<line x1="0" y1="{ty(0.0)}" x2="{WIDTH}" y2="{ty(0.0)}" '
                      'stroke="#bbbbbb" stroke-width="1"/>')
     for poly in planar.polygons:
         pts = " ".join(f"{tx(float(p[0]))},{ty(float(p[1]))}" for p in poly)
         lines.append(f'<polygon points="{pts}" fill="#9ecae1" stroke="#08519c" '
                      'stroke-width="1.5"/>')
-    for a, b in planar.segments:
-        lines.append(
-            f'<polyline points="{tx(float(a[0]))},{ty(float(a[1]))} '
-            f'{tx(float(b[0]))},{ty(float(b[1]))}" fill="none" stroke="#08519c" '
-            'stroke-width="2"/>')
-    for pts in arc_paths:
-        chain = " ".join(f"{tx(x)},{ty(y)}" for x, y in pts)
+    for pts in [*planar.segments, *arc_paths]:
+        chain = " ".join(f"{tx(float(x))},{ty(float(y))}" for x, y in pts)
         lines.append(f'<polyline points="{chain}" fill="none" stroke="#08519c" '
                      'stroke-width="2"/>')
     for p in planar.points:
@@ -326,8 +333,8 @@ def run_scenario(path: str | Path, command: str, out: Optional[str] = None,
                   "results": [{"name": n, "passed": p, "detail": d}
                               for n, p, d in rows]}
         if task["schedule"] is not None:
-            cc = coincidence_check(system, cons, task["schedule"], task["t_grid"])
-            report["coincidence"] = cc.to_json()
+            report["coincidence"] = coincidence_check(system, cons, task["schedule"],
+                                                      task["t_grid"])
         _emit(dump_json(report), out)
         all_ok = all(p for _, p, _ in rows)
         for name, passed, detail in rows:

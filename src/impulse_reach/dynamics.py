@@ -72,10 +72,6 @@ class ConstraintSpec:
             if not self.s[j - 1].is_step:
                 raise DomainError(f"kernel {j} indexed by J must be a step function")
 
-    @property
-    def n_constraints(self) -> int:
-        return len(self.s)
-
     @staticmethod
     def unconstrained() -> "ConstraintSpec":
         return ConstraintSpec((), ((),), frozenset())

@@ -18,8 +18,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from .errors import BoundaryError, CapacityError, DomainError
 from .intervals import Cell, Interval
 from .rational import Number, is_exact, num_from_json, rat
@@ -279,12 +277,12 @@ def fn_equal(f: PiecewiseFn, g: PiecewiseFn) -> bool:
 def sup_norm(f: PiecewiseFn) -> Number:
     """Exact max of |f| over the domain, breakpoint values included.
 
-    Per piece the closure max is taken over the gap endpoints plus the real
-    critical points of the polynomial (derivative roots; numeric for
-    degree >= 3 derivatives).  The first largest candidate, in the order
-    point values, then each piece's ends and critical points, is returned;
-    an exact step function finds it by comparing integers over one
-    denominator.
+    Per piece the closure max is taken over the gap endpoints and, on a
+    quadratic piece, its vertex.  A piece of degree >= 3 raises CapacityError:
+    its critical points are irrational in general (t^3 - t peaks at
+    1/sqrt(3)).  The first largest candidate, in the order point values, then
+    each piece's ends and vertex, is returned; an exact step function finds it
+    by comparing integers over one denominator.
     """
     if f.is_step and f.is_exact:
         values = [*f.point_values, *(cs[0] for cs in f.pieces)]
@@ -301,19 +299,16 @@ def sup_norm(f: PiecewiseFn) -> Number:
     for v in f.point_values:
         best = max(best, abs(v))
     for (a, b), coeffs in zip(zip(f.breakpoints, f.breakpoints[1:]), f.pieces):
+        deriv = _trim([k * c for k, c in enumerate(coeffs)][1:])
+        if len(deriv) > 2:
+            raise CapacityError("sup_norm is exact up to degree 2; a piece of degree "
+                                f"{len(deriv)} has no exact critical points in general")
         for t in (a, b):
             best = max(best, abs(poly_eval(coeffs, t)))
-        deriv = [k * c for k, c in enumerate(coeffs)][1:]
-        deriv = list(_trim(deriv))
-        if len(deriv) == 2 and deriv[1] != 0:
-            root = -deriv[0] / deriv[1]
+        if len(deriv) == 2:
+            root = Fraction(-deriv[0]) / deriv[1]  # int / int would be a float
             if a < root < b:
                 best = max(best, abs(poly_eval(coeffs, root)))
-        elif len(deriv) >= 3:
-            roots = np.roots([float(c) for c in reversed(deriv)])
-            for r in roots:
-                if abs(r.imag) < 1e-12 and float(a) < r.real < float(b):
-                    best = max(best, abs(poly_eval([float(c) for c in coeffs], r.real)))
     return best
 
 

@@ -212,14 +212,14 @@ def test_criterion_7_theorem_coincidence():
         cons = ConstraintSpec((s2,), (((0, 0),),), frozenset({1}))
         report = coincidence_check(
             sys, cons, [(64, 0.05), (128, 0.01), (256, 0.002)], t_grid_size=129)
-        gaps = [max(e.d_full_universal, e.d_partial_universal)
-                for e in report.entries]
+        gaps = [max(e["d_full_universal"], e["d_partial_universal"])
+                for e in report["entries"]]
         assert all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
-        assert all(e.partial_inside_full for e in report.entries)
-        final = report.entries[-1]
-        assert final.d_full_partial <= 0.01
-        assert final.d_full_universal <= 0.01
-        assert final.d_partial_universal <= 0.01
+        assert all(e["partial_inside_full"] for e in report["entries"])
+        final = report["entries"][-1]
+        assert final["d_full_partial"] <= 0.01
+        assert final["d_full_universal"] <= 0.01
+        assert final["d_partial_universal"] <= 0.01
         # both relaxations converge to the limit segment (0,1)-(1/2,1)
         limit = PlanarSet(segments=(((0.0, 1.0), (0.5, 1.0)),))
         mp = universal_mp(sys, cons, 129, 360)

@@ -3,6 +3,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -407,6 +408,30 @@ def test_universal_raises_when_no_sample_meets_a_curved_constraint():
     assert not universal_mp(sys, cons, 129).is_empty
 
 
+def test_universal_raises_when_one_box_of_a_union_meets_no_curved_sample():
+    # the second box alone keeps a set; the first holds only t = 1/3, which
+    # no grid samples, and must not drop out of the union unnoticed
+    sys, _ = build_double_integrator(zigzag(), 1, 1, 1)
+    s = PiecewiseFn.build([0, 1], [[F(1, 9), F(-2, 3), 1]])
+    second = ((F(1, 4), F(4, 9)),)
+    assert not universal_mp(sys, ConstraintSpec((s,), (second,), frozenset())).is_empty
+    for boxes in [(((0, 0),), second), (second, ((0, 0),))]:
+        with pytest.raises(NumericError, match="cannot decide feasibility"):
+            universal_mp(sys, ConstraintSpec((s,), boxes, frozenset()))
+
+
+def test_universal_keeps_the_feasible_box_of_an_affine_union():
+    # (1 - t) c(t) takes values in [-1/2, 1], so the box [2, 3] is certified
+    # empty and the union is the other box's piece
+    sys, (s1, _) = build_double_integrator(zigzag(), 1, 1, 1)
+    feasible, infeasible = ((F(1, 4), F(1, 2)),), ((2, 3),)
+    alone = universal_mp(sys, ConstraintSpec((s1,), (feasible,), frozenset()))
+    assert not alone.is_empty
+    for boxes in [(feasible, infeasible), (infeasible, feasible)]:
+        assert universal_mp(sys, ConstraintSpec((s1,), boxes, frozenset())) == alone
+    assert universal_mp(sys, ConstraintSpec((s1,), (infeasible,), frozenset())).is_empty
+
+
 def test_universal_monotone_in_grid():
     sys, cons = velocity_constrained_sys()
     coarse = universal_mp(sys, cons, t_grid_size=17, directions=64)
@@ -620,10 +645,10 @@ def test_universal_matches_relaxation_limit_on_box_target():
 def test_coincidence_report_converges():
     sys, cons = velocity_constrained_sys()
     report = coincidence_check(sys, cons, [(64, 0.05), (128, 0.01)], t_grid_size=65)
-    assert report.entries[0].partial_inside_full
-    assert report.entries[1].partial_inside_full
-    assert report.distances_decrease
-    assert report.final_d_to_universal <= 0.02
+    assert report["entries"][0]["partial_inside_full"]
+    assert report["entries"][1]["partial_inside_full"]
+    assert report["distances_decrease"]
+    assert report["final_d_to_universal"] <= 0.02
 
 
 @pytest.mark.parametrize("scale", [1e-9, 1e-6, 1.0, 1e6])
@@ -642,9 +667,9 @@ def test_coincidence_flags_scale_with_the_sets(monkeypatch, scale):
     monkeypatch.setattr(attainability, "universal_mp", lambda *args: square(0.0, scale))
     sys, cons = velocity_constrained_sys()
     report = coincidence_check(sys, cons, [(4, F(1, 100)), (8, F(1, 100))])
-    assert [e.partial_inside_full for e in report.entries] == [False, True]
-    assert not report.distances_decrease
-    assert report.final_d_to_universal == pytest.approx(scale * gaps[8], rel=1e-12)
+    assert [e["partial_inside_full"] for e in report["entries"]] == [False, True]
+    assert not report["distances_decrease"]
+    assert report["final_d_to_universal"] == pytest.approx(scale * gaps[8], rel=1e-12)
 
 
 # -- generator rows ------------------------------------------------------------
@@ -774,6 +799,11 @@ def test_affine_kernels_sample_only_the_breakpoint_limits(name):
     assert all(np.array_equal(r, rows[0]) for r in rows[1:])
 
 
+def projected(gens, boxes):
+    """The set that relaxed_reach and universal_mp make of _project's pieces."""
+    return reduce(PlanarSet.merge, _project(gens, boxes))
+
+
 @pytest.mark.parametrize("name", ["zigzag", "velocity_pin"])
 def test_sets_equal_projection_of_exact_reference_rows(name):
     sys, cons, task = load_scenario(SCENARIOS / f"{name}.json")
@@ -781,10 +811,10 @@ def test_sets_equal_projection_of_exact_reference_rows(name):
     cfg = ReachConfig(int(task["mesh"]), num_from_json(task["epsilon"]), partial=partial)
     boxes = [relax_box(box, cfg.epsilon, cons.J if partial else frozenset())
              for box in cons.boxes]
-    expected = _project(reference_mesh_rows(sys, cons, cfg.mesh), boxes)
+    expected = projected(reference_mesh_rows(sys, cons, cfg.mesh), boxes)
     assert relaxed_reach(sys, cons, cfg).to_json() == expected.to_json()
     t_grid = int(task["t_grid"])
-    expected = _project(reference_curve_rows(sys, cons, t_grid), cons.boxes)
+    expected = projected(reference_curve_rows(sys, cons, t_grid), cons.boxes)
     assert universal_mp(sys, cons, t_grid).to_json() == expected.to_json()
 
 
@@ -872,7 +902,7 @@ def test_projection_is_the_exact_polygon_of_random_clouds(kind):
     rng = random.Random(f"cloud {kind}")
     for _ in range(12):
         gens, box = random_cloud(rng, kind)
-        ps = _project(gens, [box])
+        (ps,) = _project(gens, [box])
         lps = [support_lp(gens, box, d) for d in fan(64)]
         if lps[0] is None:
             assert ps.is_empty and all(lp is None for lp in lps)
@@ -898,7 +928,7 @@ def test_projection_supports_match_highs_on_random_clouds():
     for kind in CLOUD_KINDS:
         for _ in range(3):
             gens, box = random_cloud(rng, kind)
-            ps = _project(gens, [box])
+            (ps,) = _project(gens, [box])
             for d in dirs:
                 res = linprog(-(gens[:, :2] @ d), **box_lp(gens, box), method="highs")
                 if res.status == 2:
@@ -951,8 +981,8 @@ def test_sets_scale_with_b_the_target_and_epsilon(lam):
     assert np.max(np.abs(got / lam - want)) <= 1e-12 * np.max(np.abs(want))
     # and so every coincidence distance
     schedule = [(16, lam / 10), (32, lam / 20)]
-    report = coincidence_check(sys, cons, schedule, t_grid_size=65).to_json()
-    report1 = coincidence_check(sys1, cons1, [(16, 0.1), (32, 0.05)], t_grid_size=65).to_json()
+    report = coincidence_check(sys, cons, schedule, t_grid_size=65)
+    report1 = coincidence_check(sys1, cons1, [(16, 0.1), (32, 0.05)], t_grid_size=65)
     extent = float(np.max(np.abs(set_corners(mp1))))
     for entry, entry1 in zip(report["entries"], report1["entries"]):
         for key in ("d_full_partial", "d_full_universal", "d_partial_universal"):
@@ -1081,7 +1111,7 @@ def test_pruned_rows_leave_reach_sets_unchanged(mesh):
         dropped += int((~kept).sum())
         cfg = ReachConfig(mesh, F(1, 100), 16)
         boxes = [relax_box(box, cfg.epsilon, frozenset()) for box in cons.boxes]
-        assert_same_set(relaxed_reach(sys, cons, cfg), _project(rows, boxes))
+        assert_same_set(relaxed_reach(sys, cons, cfg), projected(rows, boxes))
     assert dropped > 0 or mesh == 3
 
 
@@ -1099,5 +1129,5 @@ def test_pruned_rows_leave_mp_sets_unchanged(t_grid_size):
             assert np.max(np.abs(rows[k] - (a + s * d))) <= 1e-12, (trial, k)
         dropped += int((~kept).sum())
         assert_same_set(universal_mp(sys, cons, t_grid_size, 16),
-                        _project(rows, cons.boxes))
+                        projected(rows, cons.boxes))
     assert dropped > 0 or t_grid_size == 2

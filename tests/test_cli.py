@@ -302,6 +302,17 @@ def test_mp_with_no_sampled_time_on_a_curved_constraint_exits_3(tmp_path, capsys
     assert "cannot decide feasibility" in capsys.readouterr().err and not out.exists()
 
 
+def test_mp_with_one_box_meeting_no_sampled_time_on_a_curved_constraint_exits_3(
+        tmp_path, capsys):
+    # the second box alone is met by samples; the first holds only t = 1/3
+    path = write_scenario(tmp_path, c=ZIGZAG_C,
+                          constraints={"s": [CURVED_S],
+                                       "Y": [[["0", "0"]], [["1/4", "4/9"]]]})
+    out = tmp_path / "mp.json"
+    assert main(["mp", "--scenario", str(path), "--out", str(out)]) == 3
+    assert "cannot decide feasibility" in capsys.readouterr().err and not out.exists()
+
+
 @pytest.mark.parametrize("c_end", ["1", "2"])
 def test_thrust_orientation_scenario_off_the_unit_interval_exits_2(tmp_path, capsys, c_end):
     # the double integrator lives on [0,1]: a thrust on [0,2] is refused by
@@ -411,7 +422,7 @@ def test_load_scenario_roundtrip_objects(tmp_path):
                      "Y": [[["0", "1"], [None, "1/2"]]], "J": [2]})
     system, cons, task = load_scenario(path)
     assert system.dim == 2
-    assert cons.n_constraints == 2
+    assert len(cons.s) == 2
     assert cons.J == frozenset({2})
     assert cons.boxes[0][1] == (None, F(1, 2))
     assert task["mesh"] == 64

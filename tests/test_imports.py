@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +36,17 @@ def _unused_imports(source: str) -> list[str]:
                          ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TEST_FILES])
 def test_every_import_is_used(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_the_exact_core_loads_no_numpy():
+    # numpy belongs to the set engine (attainability, simplex) alone
+    modules = ["impulse_reach"] + [f"impulse_reach.{name}" for name in
+                                   ("intervals", "piecewise", "measures", "dynamics", "checks")]
+    code = "".join(f"import {m}\n" for m in modules) + "import sys\nprint('numpy' in sys.modules)"
+    src = str(Path(impulse_reach.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout == "False\n"
 
 
 def test_checker_flags_an_unused_import():

@@ -158,18 +158,19 @@ def test_sup_norm_zigzag_kernel_dense_grid():
 
 
 def test_sup_norm_interior_max_quadratic():
-    # t(1-t) peaks at 1/4
+    # t(1-t) peaks at 1/4, exactly also for integer coefficients
     f = PiecewiseFn.build(["0", "1"], [[0, 1, -1]])
-    assert sup_norm(f) == F(1, 4)
+    assert sup_norm(f) == F(1, 4) and isinstance(sup_norm(f), F)
 
 
-def test_sup_norm_cubic_and_quartic_critical_points():
-    # t^3 - t on [0,1]: max magnitude 2/(3*sqrt(3)) at t = 1/sqrt(3)
+def test_sup_norm_refuses_cubic_and_quartic_pieces():
+    # t^3 - t on [0,1] peaks at the irrational t = 1/sqrt(3), so no exact
+    # max exists; t^2 (1-t)^2 is refused by degree alone
     cubic = PiecewiseFn.build(["0", "1"], [[0, -1, 0, 1]])
-    assert sup_norm(cubic) == pytest.approx(2 / (3 * 3 ** 0.5))
-    # t^2 (1-t)^2 on [0,1]: max 1/16 at t = 1/2
     quartic = PiecewiseFn.build(["0", "1"], [[0, 0, 1, -2, 1]])
-    assert sup_norm(quartic) == pytest.approx(1 / 16)
+    for f in (cubic, quartic):
+        with pytest.raises(CapacityError, match="exact up to degree 2"):
+            sup_norm(f)
 
 
 def test_norm_axioms(rng):
